@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
-from .channels import random_unitary_tuple, tuple_from_permutations
+from .channels import random_unitary_tuple, tuple_from_permutations, validate_bistochastic
 from .embed import (
     OptimizerConfig,
     distortion_lower_bound,
@@ -29,6 +30,7 @@ from .embed import (
 from .errors import (
     DimensionTooLarge,
     InstanceTooLarge,
+    InvalidParameters,
     NumericalFailure,
     SpexpError,
 )
@@ -44,13 +46,7 @@ from .graphs import (
     random_regular,
     shortest_path_metric,
 )
-from .search import (
-    SearchConfig,
-    estimate_expansion,
-    minimize_coordinate,
-    minimize_random,
-    minimize_riemannian,
-)
+from .search import SearchConfig, minimize_coordinate, minimize_random, minimize_riemannian
 from .serialize import (
     dumps_canonical,
     embedding_to_json,
@@ -83,10 +79,20 @@ def _manifest(subcommand: str, params: dict, seed) -> dict:
 def _emit(document: dict, out_path: str | None, quiet: bool = False) -> None:
     text = dumps_canonical(document)
     if out_path:
-        tmp = out_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        # a temp file of its own, so runs writing one output never collide
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(out_path) or ".", prefix=os.path.basename(out_path) + "."
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                mask = os.umask(0)
+                os.umask(mask)
+                os.fchmod(fh.fileno(), 0o666 & ~mask)  # the mode a plain open() gives
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     if not quiet:
         sys.stdout.write(text)
 
@@ -147,6 +153,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_expansion(args) -> int:
+    if args.k is not None and (args.mode == "classical" or args.strategy == "coordinate"):
+        raise InvalidParameters("--k is used only by the random and riemannian strategies")
     doc = _load_json(args.input)
     params = {
         "input": args.input,
@@ -165,6 +173,12 @@ def _cmd_expansion(args) -> int:
         result = {"value": value, "witness_subset": witness, "mode": "classical"}
     else:
         t = tuple_from_json(doc.get("tuple", doc))
+        check = validate_bistochastic(t)
+        if not check.passed:
+            raise InvalidParameters(
+                f"tuple is not bistochastic: left deviation {check.left_deviation:.3e}, "
+                f"right deviation {check.right_deviation:.3e}"
+            )
         if args.strategy == "coordinate":
             est = minimize_coordinate(t, args.p, mode=args.mode)
         elif args.mode != "sp":
@@ -182,9 +196,7 @@ def _cmd_expansion(args) -> int:
                 epsilon=args.epsilon,
                 seed=args.seed,
             )
-            if cfg.k == "all":
-                est = estimate_expansion(t, args.p, cfg)
-            elif strategy == "random-sample":
+            if strategy == "random-sample":
                 est = minimize_random(t, args.p, cfg)
             else:
                 est = minimize_riemannian(t, args.p, cfg)
@@ -260,7 +272,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    g = graph_from_json(_load_json(args.input).get("graph", _load_json(args.input)))
+    doc = _load_json(args.input)
+    g = graph_from_json(doc.get("graph", doc))
     cfg = OptimizerConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,

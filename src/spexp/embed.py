@@ -25,9 +25,12 @@ from .errors import (
 )
 from .graphs import MetricMatrix, RegularGraph, is_connected, shortest_path_metric, metric_ratio
 from .linalg import substream
+from .search import descend
 
 TARGET_LP = "vector-lp"
 TARGET_SP = "matrix-sp"
+EPSILON = 1e-10  # smoothing of |t|^p as (t^2 + EPSILON)^(p/2) in the descent
+SWEEP_CUTS = 3  # best Fiedler prefix cuts used as starting points
 
 
 @dataclass
@@ -167,18 +170,11 @@ def distortion(f: VertexEmbedding, rho: MetricMatrix) -> DistortionReport:
 class OptimizerConfig:
     restarts: int = 6
     max_iters: int = 300
-    initial_step: float = 0.5
-    backtrack_factor: float = 0.5
-    grad_tol: float = 1e-9
-    epsilon: float = 1e-10
-    sweep_cuts: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iters < 1:
             raise InvalidParameters("counts must be positive")
-        if self.epsilon < 0:
-            raise InvalidParameters("smoothing epsilon must be >= 0")
 
 
 @dataclass
@@ -229,7 +225,7 @@ def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
     take = min(m, n - 1)
     spectral[:, :take] = vec[:, 1 : 1 + take]
     inits.append(spectral)
-    for s in _sweep_cut_sets(g, cfg.sweep_cuts):
+    for s in _sweep_cut_sets(g, SWEEP_CUTS):
         x = np.zeros((n, m))
         x[s, 0] = 1.0
         inits.append(x)
@@ -237,11 +233,6 @@ def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
         rng = substream(cfg.seed, 7, r)
         inits.append(rng.standard_normal((n, m)))
     return inits
-
-
-def _exact_lp_ratio(g, x, p):
-    f = VertexEmbedding([row.copy() for row in x], TARGET_LP, p)
-    return embedding_ratio(g, f)
 
 
 def _row_blocks(n: int, m: int):
@@ -284,45 +275,63 @@ def _normalize_lp(x, p):
     return x * den ** (-1.0 / p)
 
 
-def _descend_lp(g, x0, p, cfg):
+def _descend_embedding(g, x0, p, max_iters, parts, normalize):
+    """Descent on the smoothed quotient ratio from x0, normalized once more;
+    returns (final images, objective trace), or (None, []) when x0 cannot be
+    normalized."""
     n = g.n
     w = g.adjacency.astype(np.float64).copy()
     np.fill_diagonal(w, 0.0)
     edge_count = float(g.edge_count())
-    eps = cfg.epsilon
-    x = _normalize_lp(x0.astype(np.float64), p)
+
+    def evaluate(x):
+        num, den, gnum, gden = parts(x, w, p, EPSILON, n * n, edge_count)
+
+        def slope():
+            grad = (gnum - num / den * gden) / den
+            return grad, float(np.sum(grad**2))
+
+        return num / den, slope
+
+    x = normalize(x0, p)
     if x is None:
-        return None, 0
-    num, den, gnum, gden = _lp_parts(x, w, p, eps, n * n, edge_count)
-    ratio = num / den
-    iters = 0
-    step = cfg.initial_step
-    for _ in range(cfg.max_iters):
-        grad = (gnum - ratio * gden) / den
-        gnorm2 = float(np.sum(grad**2))
-        if np.sqrt(gnorm2) <= cfg.grad_tol * max(1.0, ratio):
-            break
-        s = step
-        accepted = False
-        while s > 1e-14:
-            x_try = _normalize_lp(x - s * grad, p)
-            if x_try is None:
-                s *= cfg.backtrack_factor
-                continue
-            num_t, den_t, gnum_t, gden_t = _lp_parts(x_try, w, p, eps, n * n, edge_count)
-            ratio_t = num_t / den_t
-            if not np.isfinite(ratio_t):
-                raise NumericalFailure("non-finite embedding objective")
-            if ratio_t <= ratio - 1e-4 * s * gnorm2:
-                x, num, den, gnum, gden, ratio = x_try, num_t, den_t, gnum_t, gden_t, ratio_t
-                step = min(2.0 * s, cfg.initial_step)
-                accepted = True
-                break
-            s *= cfg.backtrack_factor
-        if not accepted:
-            break
-        iters += 1
-    return x, iters
+        return None, []
+    value, slope = evaluate(x)
+    return descend(
+        x, value, slope, evaluate, lambda y: normalize(y, p),
+        initial_step=0.5, grad_tol=1e-9, max_iters=max_iters,
+    )
+
+
+def _best_of_starts(g, inits, p, cfg, target, parts, normalize) -> EmbedEstimate:
+    """Normalize each start, descend from it, and keep the embedding with the
+    smallest exact ratio (normalized starts included; earlier wins ties)."""
+
+    def exact_ratio(x):
+        return embedding_ratio(g, VertexEmbedding([a.copy() for a in x], target, p))
+
+    best_val = None
+    best_x = None
+    total_iters = 0
+    starts = 0
+    for x0 in inits:
+        x_init = normalize(x0.astype(np.float64), p)
+        if x_init is None:
+            continue
+        starts += 1
+        val = exact_ratio(x_init)
+        if best_val is None or val < best_val:
+            best_val, best_x = val, x_init
+        x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, parts, normalize)
+        if x_fin is not None:
+            total_iters += len(trace) - 1
+            val = exact_ratio(x_fin)
+            if val < best_val:
+                best_val, best_x = val, x_fin
+    if best_x is None:
+        raise NumericalFailure("no usable starting point")
+    witness = VertexEmbedding([a.copy() for a in best_x], target, p)
+    return EmbedEstimate(best_val, witness, starts=starts, iterations=total_iters)
 
 
 def lp_expansion_estimate(
@@ -338,39 +347,13 @@ def lp_expansion_estimate(
     p = float(p)
     if p < 1:
         raise InvalidExponent(f"p must be >= 1, got {p}")
-    best_val = None
-    best_x = None
-    total_iters = 0
-    starts = 0
-    for x0 in _lp_init_points(g, m, cfg):
-        x_init = _normalize_lp(x0.astype(np.float64), p)
-        if x_init is None:
-            continue
-        starts += 1
-        for cand in (x_init,):
-            val = _exact_lp_ratio(g, cand, p)
-            if best_val is None or val < best_val:
-                best_val, best_x = val, cand
-        x_fin, iters = _descend_lp(g, x_init, p, cfg)
-        total_iters += iters
-        if x_fin is not None:
-            val = _exact_lp_ratio(g, x_fin, p)
-            if val < best_val:
-                best_val, best_x = val, x_fin
-    if best_x is None:
-        raise NumericalFailure("no usable starting point")
-    witness = VertexEmbedding([row.copy() for row in best_x], TARGET_LP, p)
-    return EmbedEstimate(best_val, witness, starts=starts, iterations=total_iters)
+    inits = _lp_init_points(g, m, cfg)
+    return _best_of_starts(g, inits, p, cfg, TARGET_LP, _lp_parts, _normalize_lp)
 
 
 # ---------------------------------------------------------------------------
 # Schatten-p target
 # ---------------------------------------------------------------------------
-
-
-def _exact_sp_ratio(g, x, p):
-    f = VertexEmbedding([mat.copy() for mat in x], TARGET_SP, p)
-    return embedding_ratio(g, f)
 
 
 def _sp_parts(x, w_edges, p, eps, n2, edge_count):
@@ -411,47 +394,6 @@ def _normalize_sp(x, p):
     return x * den ** (-1.0 / p)
 
 
-def _descend_sp(g, x0, p, cfg):
-    n = g.n
-    w = g.adjacency.astype(np.float64).copy()
-    np.fill_diagonal(w, 0.0)
-    edge_count = float(g.edge_count())
-    eps = cfg.epsilon
-    x = _normalize_sp(x0.astype(np.float64), p)
-    if x is None:
-        return None, 0
-    num, den, gnum, gden = _sp_parts(x, w, p, eps, n * n, edge_count)
-    ratio = num / den
-    iters = 0
-    step = cfg.initial_step
-    for _ in range(cfg.max_iters):
-        grad = (gnum - ratio * gden) / den
-        gnorm2 = float(np.sum(grad**2))
-        if np.sqrt(gnorm2) <= cfg.grad_tol * max(1.0, ratio):
-            break
-        s = step
-        accepted = False
-        while s > 1e-14:
-            x_try = _normalize_sp(x - s * grad, p)
-            if x_try is None:
-                s *= cfg.backtrack_factor
-                continue
-            num_t, den_t, gnum_t, gden_t = _sp_parts(x_try, w, p, eps, n * n, edge_count)
-            ratio_t = num_t / den_t
-            if not np.isfinite(ratio_t):
-                raise NumericalFailure("non-finite embedding objective")
-            if ratio_t <= ratio - 1e-4 * s * gnorm2:
-                x, num, den, gnum, gden, ratio = x_try, num_t, den_t, gnum_t, gden_t, ratio_t
-                step = min(2.0 * s, cfg.initial_step)
-                accepted = True
-                break
-            s *= cfg.backtrack_factor
-        if not accepted:
-            break
-        iters += 1
-    return x, iters
-
-
 def sp_expansion_estimate(
     g: RegularGraph, p: float, m: int, cfg: OptimizerConfig | None = None
 ) -> EmbedEstimate:
@@ -463,14 +405,8 @@ def sp_expansion_estimate(
     the estimate never exceeds the l_p estimate.
     """
     cfg = cfg or OptimizerConfig()
-    if m < 1:
-        raise InvalidParameters("target dimension m must be >= 1")
-    if not is_connected(g):
-        raise InvalidParameters("estimator needs a connected graph")
+    lp_result = lp_expansion_estimate(g, p, m, cfg)  # also rejects bad g, p and m
     p = float(p)
-    if p < 1:
-        raise InvalidExponent(f"p must be >= 1, got {p}")
-    lp_result = lp_expansion_estimate(g, p, m, cfg)
     n = g.n
     inits = []
     diag_lift = np.zeros((n, m, m))
@@ -480,28 +416,7 @@ def sp_expansion_estimate(
     for r in range(cfg.restarts):
         rng = substream(cfg.seed, 11, r)
         inits.append(rng.standard_normal((n, m, m)))
-    best_val = None
-    best_x = None
-    total_iters = 0
-    starts = 0
-    for x0 in inits:
-        x_init = _normalize_sp(x0.astype(np.float64), p)
-        if x_init is None:
-            continue
-        starts += 1
-        val = _exact_sp_ratio(g, x_init, p)
-        if best_val is None or val < best_val:
-            best_val, best_x = val, x_init
-        x_fin, iters = _descend_sp(g, x_init, p, cfg)
-        total_iters += iters
-        if x_fin is not None:
-            val = _exact_sp_ratio(g, x_fin, p)
-            if val < best_val:
-                best_val, best_x = val, x_fin
-    if best_x is None:
-        raise NumericalFailure("no usable starting point")
-    witness = VertexEmbedding([mat.copy() for mat in best_x], TARGET_SP, p)
-    return EmbedEstimate(best_val, witness, starts=starts, iterations=total_iters)
+    return _best_of_starts(g, inits, p, cfg, TARGET_SP, _sp_parts, _normalize_sp)
 
 
 def distortion_lower_bound(g: RegularGraph, p: float, h_est: float) -> float:

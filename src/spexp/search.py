@@ -37,6 +37,7 @@ from .linalg import _check_exponent, as_matrix, haar_isometry, orthonormalize, s
 COORDINATE_LIMIT = 24
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
 
 STRATEGIES = ("coordinate-exhaustive", "random-sample", "riemannian")
 
@@ -48,9 +49,6 @@ class SearchConfig:
     samples: int = 100
     restarts: int = 8
     max_iters: int = 200
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    grad_tol: float = 1e-8
     epsilon: float = 1e-10
     seed: int = 0
 
@@ -63,10 +61,6 @@ class SearchConfig:
             raise InvalidParameters("counts must be >= 1")
         if self.epsilon < 0:
             raise InvalidParameters("smoothing epsilon must be >= 0")
-        if self.grad_tol <= 0 or self.initial_step <= 0:
-            raise InvalidParameters("tolerances and steps must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise InvalidParameters("backtrack factor must lie in (0, 1)")
 
     def dims(self, n: int) -> list:
         if n < 2:
@@ -162,25 +156,33 @@ def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Expans
         raise InvalidParameters("config strategy must be 'random-sample'")
     p = _check_exponent(p)
     n = t.n
-    best = None  # (value, k, index, witness)
-    total = 0
-    for k in cfg.dims(n):
-        for j in range(cfg.samples):
-            v = Subspace(haar_isometry(n, k, substream(cfg.seed, k, j)))
-            value = expansion_ratio_sp(t, v, p).value
-            total += 1
-            key = (value, k, j)
-            if best is None or key < best[0]:
-                best = (key, v)
-    (value, k, _), witness = best
+
+    def sample(k, j):
+        return Subspace(haar_isometry(n, k, substream(cfg.seed, k, j)))
+
+    value, k, witness = _best_candidate(t, p, cfg, cfg.samples, sample)
     return ExpansionEstimate(
         value=value,
         witness=witness,
         k=k,
         p=p,
         strategy="random-sample",
-        samples_used=total,
+        samples_used=len(cfg.dims(n)) * cfg.samples,
     )
+
+
+def _best_candidate(t, p, cfg, count, candidate):
+    """Smallest (ratio, k, index) over candidate(k, index) for every k of the
+    sweep and index < count; returns (value, k, witness)."""
+    best = None  # ((value, k, index), witness)
+    for k in cfg.dims(t.n):
+        for j in range(count):
+            v = candidate(k, j)
+            key = (expansion_ratio_sp(t, v, p).value, k, j)
+            if best is None or key < best[0]:
+                best = (key, v)
+    (value, k, _), witness = best
+    return value, k, witness
 
 
 def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
@@ -231,46 +233,72 @@ def _objective_only(t, qm, p, epsilon):
     return value
 
 
-def _descend(t, q0, p, cfg, restart_tag):
-    """Single descent run; returns (final basis, objective trace)."""
-    qm = q0
-    value, grad = objective_and_gradient(t, qm, p, cfg.epsilon)
+def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iters):
+    """Projected-gradient descent with Armijo backtracking and a retraction.
+
+    ``slope()`` gives the descent direction at x and its squared norm;
+    ``evaluate(y)`` gives the objective at a trial point y and the slope
+    there, which is only called if y is accepted; ``retract(y)`` maps a
+    step back onto the feasible set, or gives None when it cannot. Trial
+    steps start at the last accepted step doubled, capped at
+    ``initial_step``, and halve until the Armijo condition holds. The descent
+    stops when the direction norm is below ``grad_tol`` (relative to max(1,
+    |value|)), when no step is accepted, or after ``max_iters`` accepted
+    steps. Returns the final point and the values at every accepted point.
+    """
+    trace = [value]
+    step = initial_step
+    for _ in range(max_iters):
+        direction, gnorm2 = slope()
+        if np.sqrt(gnorm2) <= grad_tol * max(1.0, abs(value)):
+            break
+        s = step
+        while s > MIN_STEP:
+            y = retract(x - s * direction)
+            if y is not None:
+                v, y_slope = evaluate(y)
+                if not np.isfinite(v):
+                    raise NumericalFailure("non-finite objective during line search")
+                if v <= value - ARMIJO_C1 * s * gnorm2:
+                    break
+            s *= BACKTRACK
+        else:
+            break
+        x, value, slope = y, v, y_slope
+        step = min(2.0 * s, initial_step)
+        trace.append(value)
+    return x, trace
+
+
+def _descend_subspace(t, q0, p, epsilon, max_iters, restart_tag):
+    """One Riemannian descent from the basis q0; returns (final basis,
+    objective trace)."""
+    value, grad = objective_and_gradient(t, q0, p, epsilon)
     if not np.isfinite(value):
         raise NumericalFailure(f"non-finite objective at restart {restart_tag}")
-    trace = [value]
-    step = cfg.initial_step
-    for _ in range(cfg.max_iters):
+
+    def tangent(qm, grad):
         # tangent projection on the orthonormal-basis manifold
         qhg = qm.conj().T @ grad
         xi = grad - qm @ ((qhg + qhg.conj().T) / 2.0)
-        gnorm2 = float(np.linalg.norm(xi) ** 2)
-        if np.sqrt(gnorm2) <= cfg.grad_tol * max(1.0, abs(value)):
-            break
-        s = step
-        accepted = False
-        while s > MIN_STEP:
-            try:
-                q_try = orthonormalize(qm - s * xi)
-            except RankDeficient:
-                s *= cfg.backtrack_factor
-                continue
-            v_try = _objective_only(t, q_try, p, cfg.epsilon)
-            if not np.isfinite(v_try):
-                raise NumericalFailure(
-                    f"non-finite objective during line search at restart {restart_tag}"
-                )
-            if v_try <= value - ARMIJO_C1 * s * gnorm2:
-                qm = q_try
-                value = v_try
-                _, grad = objective_and_gradient(t, qm, p, cfg.epsilon)
-                step = min(2.0 * s, cfg.initial_step)
-                accepted = True
-                break
-            s *= cfg.backtrack_factor
-        if not accepted:
-            break
-        trace.append(value)
-    return qm, trace
+        return xi, float(np.linalg.norm(xi) ** 2)
+
+    def evaluate(qm):
+        def slope():
+            return tangent(qm, objective_and_gradient(t, qm, p, epsilon)[1])
+
+        return _objective_only(t, qm, p, epsilon), slope
+
+    def retract(y):
+        try:
+            return orthonormalize(y)
+        except RankDeficient:
+            return None
+
+    return descend(
+        q0, value, lambda: tangent(q0, grad), evaluate, retract,
+        initial_step=1.0, grad_tol=1e-8, max_iters=max_iters,
+    )
 
 
 def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:
@@ -280,28 +308,22 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
         raise InvalidParameters("config strategy must be 'riemannian'")
     p = _check_exponent(p)
     n = t.n
-    best = None  # ((value, k, restart), witness)
     traces = []
-    iterations = 0
-    for k in cfg.dims(n):
-        for r in range(cfg.restarts):
-            q0 = haar_isometry(n, k, substream(cfg.seed, k, r))
-            qm, trace = _descend(t, q0, p, cfg, restart_tag=f"k={k},r={r}")
-            traces.append(trace)
-            iterations += len(trace) - 1
-            v = Subspace(qm)
-            value = expansion_ratio_sp(t, v, p).value
-            key = (value, k, r)
-            if best is None or key < best[0]:
-                best = (key, v)
-    (value, k, _), witness = best
+
+    def restart(k, r):
+        q0 = haar_isometry(n, k, substream(cfg.seed, k, r))
+        qm, trace = _descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, f"k={k},r={r}")
+        traces.append(trace)
+        return Subspace(qm)
+
+    value, k, witness = _best_candidate(t, p, cfg, cfg.restarts, restart)
     return ExpansionEstimate(
         value=value,
         witness=witness,
         k=k,
         p=p,
         strategy="riemannian",
-        iterations=iterations,
+        iterations=sum(len(trace) - 1 for trace in traces),
         objective_traces=traces,
     )
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from spexp.cli import main
-from spexp.serialize import graph_from_json, tuple_from_json
-from spexp import validate_bistochastic
+from spexp.serialize import graph_from_json, tuple_from_json, tuple_to_json
+from spexp import BistochasticTuple, validate_bistochastic
 
 
 def run_cli(args, tmp_path=None):
@@ -133,6 +133,41 @@ def test_expansion_infeasible_mode_strategy_combination(tmp_path):
 
 def test_expansion_missing_file_is_input_error(tmp_path):
     assert run_cli(["expansion", str(tmp_path / "nope.json"), "--quiet"]) == 2
+
+
+def test_expansion_rejects_ignored_k(tmp_path):
+    tup = tmp_path / "t.json"
+    run_cli(["gen", "permutation-tuple", "--n", "6", "--d", "2", "--out", str(tup), "--quiet"])
+    argv = ["expansion", str(tup), "--mode", "sp", "--strategy", "coordinate", "--k", "2"]
+    assert run_cli(argv + ["--quiet"]) == 2
+    graph = tmp_path / "c6.json"
+    run_cli(["gen", "cycle", "--n", "6", "--out", str(graph), "--quiet"])
+    assert run_cli(["expansion", str(graph), "--mode", "classical", "--k", "2", "--quiet"]) == 2
+
+
+def test_expansion_rejects_non_bistochastic_tuple(tmp_path, capsys):
+    tup = tmp_path / "scaled.json"
+    scaled = BistochasticTuple((2.0 * np.eye(4), 2.0 * np.eye(4)))
+    tup.write_text(json.dumps({"tuple": tuple_to_json(scaled)}))
+    assert run_cli(["expansion", str(tup), "--mode", "sp", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "left deviation" in err and "right deviation" in err
+
+
+def test_emit_writes_past_stale_tmp_and_cleans_up(tmp_path):
+    out = tmp_path / "c4.json"
+    (tmp_path / "c4.json.tmp").mkdir()  # where a fixed temp name would collide
+    assert run_cli(["gen", "cycle", "--n", "4", "--out", str(out), "--quiet"]) == 0
+    assert graph_from_json(read_json(out)["graph"]).n == 4
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    # a failed replace leaves no temp file behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        run_cli(["gen", "cycle", "--n", "4", "--out", str(target), "--quiet"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json", "c4.json.tmp", "taken"]
 
 
 def test_verify_cli_exit_codes(tmp_path):

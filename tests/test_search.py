@@ -6,6 +6,7 @@ import pytest
 from spexp import (
     BistochasticTuple,
     SearchConfig,
+    build_cycle,
     Subspace,
     estimate_expansion,
     expansion_ratio_sp,
@@ -20,6 +21,7 @@ from spexp.errors import (
     InvalidParameters,
     NonSmoothConfiguration,
 )
+from spexp import embed
 from spexp.linalg import haar_isometry, haar_unitary
 
 from util import coord, cycle_tuple, finite_difference_gradient, identity_tuple
@@ -160,11 +162,31 @@ def test_riemannian_cycle_beats_coordinate_witness():
     assert est.value <= 0.5 + 1e-6
 
 
-def test_riemannian_traces_nonincreasing():
-    cfg = SearchConfig(strategy="riemannian", k=2, restarts=4, max_iters=80, seed=7)
-    est = minimize_riemannian(random_unitary_tuple(8, 2, seed=8), 2.0, cfg)
-    assert est.objective_traces
-    for trace in est.objective_traces:
+def _descent_traces(objective, max_iters):
+    """Objective traces of the shared descent engine on each of its callers."""
+    if objective == "riemannian":
+        cfg = SearchConfig(strategy="riemannian", k=2, restarts=4, max_iters=max_iters, seed=7)
+        return minimize_riemannian(random_unitary_tuple(8, 2, seed=8), 2.0, cfg).objective_traces
+    parts, normalize, shape = {
+        "lp": (embed._lp_parts, embed._normalize_lp, (8, 3)),
+        "sp": (embed._sp_parts, embed._normalize_sp, (8, 2, 2)),
+    }[objective]
+    rng = np.random.default_rng(7)
+    return [
+        embed._descend_embedding(
+            build_cycle(8), rng.standard_normal(shape), 1.5, max_iters, parts, normalize
+        )[1]
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("objective", ["riemannian", "lp", "sp"])
+@pytest.mark.parametrize("max_iters", [3, 80])
+def test_descent_traces_nonincreasing(objective, max_iters):
+    traces = _descent_traces(objective, max_iters)
+    assert traces
+    for trace in traces:
+        assert 1 <= len(trace) <= max_iters + 1
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
 
