@@ -12,7 +12,6 @@ pair-average) from a mix of spectral, sweep-cut and random starting points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .graphs import MetricMatrix, RegularGraph, is_connected, shortest_path_metric, metric_ratio
+from .graphs import MetricMatrix, RegularGraph, _cut_ratio, is_connected, metric_ratio
+from .graphs import shortest_path_metric
 from .linalg import substream
 from .search import descend
 
@@ -199,22 +199,16 @@ def l2_expansion_oracle(g: RegularGraph) -> float:
     return float(np.sqrt(g.n * lam[1] / (2.0 * g.edge_count())))
 
 
-def _sweep_cut_sets(g: RegularGraph, count: int) -> list:
-    """Best prefix cuts of the Fiedler order by exact l1 cut ratio."""
-    lam, vec = np.linalg.eigh(_laplacian(g))
-    order = np.argsort(vec[:, 1], kind="stable")
-    a = g.adjacency
-    n, d = g.n, g.d
-    edges = g.edge_count()
-    scored = []
-    for t in range(1, n):
-        s = sorted(order[:t].tolist())
-        inside = int(a[np.ix_(s, s)].sum())
-        boundary = d * t - inside
-        value = Fraction(n * n * boundary, 2 * edges * t * (n - t))
-        scored.append((value, s))
-    scored.sort(key=lambda vs: (vs[0], vs[1]))
-    return [s for _, s in scored[:count]]
+def _sweep_cut_sets(g: RegularGraph, fiedler: np.ndarray) -> list:
+    """The SWEEP_CUTS best prefix cuts of the Fiedler order by exact l1 cut ratio."""
+    order = np.argsort(fiedler, kind="stable")
+    sizes = np.arange(1, g.n)
+    # the edge count inside prefix t is a corner sum of the reordered adjacency
+    inside = np.cumsum(np.cumsum(g.adjacency[np.ix_(order, order)], axis=0), axis=1)
+    boundary = g.d * sizes - inside[sizes - 1, sizes - 1]
+    values = _cut_ratio(boundary, sizes, g.n, g.edge_count())
+    scored = sorted((v, sorted(order[:t].tolist())) for v, t in zip(values.tolist(), sizes))
+    return [s for _, s in scored[:SWEEP_CUTS]]
 
 
 def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
@@ -225,7 +219,7 @@ def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
     take = min(m, n - 1)
     spectral[:, :take] = vec[:, 1 : 1 + take]
     inits.append(spectral)
-    for s in _sweep_cut_sets(g, SWEEP_CUTS):
+    for s in _sweep_cut_sets(g, vec[:, 1]):
         x = np.zeros((n, m))
         x[s, 0] = 1.0
         inits.append(x)
@@ -340,6 +334,8 @@ def lp_expansion_estimate(
     """Upper bound on the l_p expansion via multi-restart projected gradient
     over maps [n] -> R^m (spectral, sweep-cut and Gaussian starts)."""
     cfg = cfg or OptimizerConfig()
+    if g.n < 2:
+        raise InvalidParameters(f"estimator needs n >= 2 vertices, got n={g.n}")
     if m < 1:
         raise InvalidParameters("target dimension m must be >= 1")
     if not is_connected(g):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +19,7 @@ from .errors import (
     DegenerateMetric,
     DisconnectedGraph,
     InstanceTooLarge,
+    InvalidDimension,
     InvalidParameters,
     NotRegular,
     ShapeMismatch,
@@ -228,11 +227,56 @@ def decompose_permutations(g: RegularGraph) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _require_small(n: int):
+def _subset_boundaries(w):
+    """(masks, sizes, boundaries) of every vertex subset W with 1 <= |W| <= n/2.
+
+    Bit j of a mask marks vertex j in W, whose boundary is the weight
+    sum_{a not in W, b in W} w[a, b] entering it (w may be asymmetric; loops
+    never count). Adding a vertex v above every member of W adds the weight
+    entering v from outside and removes the weight between v and W, so each
+    vertex doubles the table. n = 24, the limit, takes about 0.45 GB.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    n = w.shape[0]
     if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLarge(
-            f"exhaustive sweep limited to n <= {BRUTE_FORCE_LIMIT}, got n={n}"
-        )
+        raise InstanceTooLarge(f"2^n sweep limited to n <= {BRUTE_FORCE_LIMIT}, got n={n}")
+    if n < 2:
+        raise InvalidDimension(f"no admissible subset size for n={n}")
+    boundary = np.zeros(1 << n)
+    size = np.zeros(1 << n, dtype=np.int8)
+    for v in range(n):
+        half = 1 << v
+        top = boundary[half : 2 * half]  # the masks whose top member is v, still zero
+        for u in range(v):  # first the weight between v and each W below v
+            np.add(top[: 1 << u], w[u, v] + w[v, u], out=top[1 << u : 2 << u])
+        np.subtract(boundary[:half], top, out=top)
+        top += w[:, v].sum() - w[v, v]
+        size[half : 2 * half] = size[:half] + 1
+    masks = np.flatnonzero((size >= 1) & (size <= n // 2))
+    return masks, size[masks].astype(np.int64), boundary[masks]
+
+
+def _lex_min(masks, values):
+    """(minimum value, lexicographically smallest sorted subset attaining it).
+
+    Narrows the tied masks one member at a time: a mask holding just the
+    members chosen so far is a prefix of the others, hence the smallest;
+    otherwise only the masks with the lowest next member stay.
+    """
+    best = values.min()
+    rest = masks[values == best]  # the tied masks less the members chosen so far
+    chosen = 0
+    while np.all(rest):
+        lowest = rest & -rest
+        bit = int(lowest.min())
+        rest = rest[lowest == bit] ^ bit
+        chosen |= bit
+    return float(best), [j for j in range(chosen.bit_length()) if chosen >> j & 1]
+
+
+def _cut_ratio(boundary, size, n: int, edges: int):
+    """The l1 cut ratio [(1/|E|) boundary] / [(1/n^2) 2 |W| (n - |W|)]."""
+    return n * n * boundary / (2 * edges * size * (n - size))
 
 
 def edge_expansion_bruteforce(g: RegularGraph):
@@ -241,21 +285,10 @@ def edge_expansion_bruteforce(g: RegularGraph):
     Boundary counts edge multiplicities; loops contribute nothing. Returns
     (value, witness) with the lexicographically smallest witness on ties.
     """
-    _require_small(g.n)
     if not g.symmetric:
         raise InvalidParameters("edge expansion needs a symmetric graph")
-    a = g.adjacency
-    n, d = g.n, g.d
-    best = None
-    best_w = None
-    for k in range(1, n // 2 + 1):
-        for w in combinations(range(n), k):
-            inside = int(a[np.ix_(w, w)].sum())
-            boundary = d * k - inside
-            value = Fraction(boundary, d * k)
-            if best is None or value < best or (value == best and w < best_w):
-                best, best_w = value, w
-    return float(best), list(best_w)
+    masks, sizes, boundary = _subset_boundaries(g.adjacency)
+    return _lex_min(masks, boundary / (g.d * sizes))
 
 
 def _neighbors(g: RegularGraph) -> list:
@@ -347,25 +380,14 @@ def cut_oracle_l1(g: RegularGraph):
 
     Cut metrics generate the cone of l1-embeddable semimetrics, and a ratio
     of linear functionals over a cone attains its minimum at a generator, so
-    the minimum over cuts equals the minimum over l1 embeddings. Exact
-    rational arithmetic; lexicographically smallest witness on ties.
+    the minimum over cuts equals the minimum over l1 embeddings. Integer
+    counts make each ratio one correctly rounded division of exact floats,
+    which keeps the order and equality of these small-denominator rationals;
+    lexicographically smallest witness on ties.
     """
-    _require_small(g.n)
     if not g.symmetric:
         raise InvalidParameters("cut oracle needs a symmetric graph")
     if not is_connected(g):
         raise DisconnectedGraph("cut oracle needs a connected graph")
-    a = g.adjacency
-    n, d = g.n, g.d
-    edges = g.edge_count()
-    best = None
-    best_s = None
-    for k in range(1, n // 2 + 1):
-        for s in combinations(range(n), k):
-            inside = int(a[np.ix_(s, s)].sum())
-            boundary = d * k - inside
-            # ratio [(1/|E|) |cut edges|] / [(1/n^2) * 2 |S||S_bar|]
-            value = Fraction(n * n * boundary, 2 * edges * k * (n - k))
-            if best is None or value < best or (value == best and s < best_s):
-                best, best_s = value, s
-    return float(best), list(best_s)
+    masks, sizes, boundary = _subset_boundaries(g.adjacency)
+    return _lex_min(masks, _cut_ratio(boundary, sizes, g.n, g.edge_count()))

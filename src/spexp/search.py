@@ -17,24 +17,22 @@ witness; the search never reports an unattained value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import BistochasticTuple, Subspace, expansion_ratio_sp
 from .errors import (
     DimensionTooLarge,
-    InstanceTooLarge,
     InvalidDimension,
     InvalidParameters,
     NonSmoothConfiguration,
     NumericalFailure,
     RankDeficient,
 )
+from .graphs import _lex_min, _subset_boundaries
 from .linalg import _check_exponent, as_matrix, haar_isometry, orthonormalize, substream
 
-COORDINATE_LIMIT = 24
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
@@ -93,55 +91,37 @@ def minimize_coordinate(
 ) -> ExpansionEstimate:
     """Exact minimum over coordinate subspaces with 1 <= |W| <= floor(n/2).
 
-    Ties broken by the lexicographically smallest vertex subset. On
-    permutation tuples (modes sp and Q) this equals the multigraph's edge
+    On permutation tuples (modes sp and Q) this equals the multigraph's edge
     expansion. The restriction of B to a coordinate projector pair is the
-    B[W, complement] block, so ratios are evaluated on submatrix slices.
+    B[W, complement] block: mode Q sums its squared entries (the subset
+    kernel's boundary), modes sp and dim take its singular values. Each ratio
+    is one division by d |W|, so integer counts compare exactly as in
+    cut_oracle_l1; ties go to the lexicographically smallest vertex subset.
     """
+    if mode not in ("sp", "dim", "Q"):
+        raise InvalidParameters(f"unknown coordinate mode {mode!r}")
     n, d = t.n, t.d
-    if n > COORDINATE_LIMIT:
-        raise InstanceTooLarge(
-            f"coordinate sweep limited to n <= {COORDINATE_LIMIT}, got n={n}"
-        )
-    if n < 2:
-        raise InvalidDimension(f"no admissible subset size for n={n}")
     if mode == "sp":
         p = _check_exponent(p)
-    if mode == "Q":
-        # boundary weights sum_i |B_i[a, b]|^2 for a outside W, b inside W
-        weight = np.zeros((n, n))
-        for b in t.matrices:
-            weight += np.abs(b) ** 2
-    threshold = rank_tol * np.sqrt(d)
-    best = None
-    best_w = None
-    evaluated = 0
-    for k in range(1, n // 2 + 1):
-        for w in combinations(range(n), k):
-            comp = [j for j in range(n) if j not in w]
-            if mode == "Q":
-                num = float(weight[np.ix_(comp, w)].sum())
+    masks, sizes, num = _subset_boundaries(sum(np.abs(b) ** 2 for b in t.matrices))
+    if mode != "Q":
+        threshold = rank_tol * np.sqrt(d)
+        for i, mask in enumerate(masks.tolist()):
+            in_w = (mask >> np.arange(n)) & 1 == 1
+            spectra = [np.linalg.svd(b[np.ix_(in_w, ~in_w)], compute_uv=False) for b in t.matrices]
+            if mode == "sp":
+                num[i] = sum(float(np.sum(s**p)) for s in spectra)
             else:
-                num = 0.0
-                for b in t.matrices:
-                    s = np.linalg.svd(b[np.ix_(w, comp)], compute_uv=False)
-                    if mode == "sp":
-                        num += float(np.sum(s**p))
-                    else:
-                        num += int(np.count_nonzero(s > threshold))
-            value = num / (d * k)
-            evaluated += 1
-            if best is None or value < best or (value == best and w < best_w):
-                best, best_w = value, w
-    witness = Subspace.coordinate(n, best_w)
+                num[i] = sum(int(np.count_nonzero(s > threshold)) for s in spectra)
+    value, subset = _lex_min(masks, num / (d * sizes))
     return ExpansionEstimate(
-        value=best,
-        witness=witness,
-        k=len(best_w),
+        value=value,
+        witness=Subspace.coordinate(n, subset),
+        k=len(subset),
         p=p if mode == "sp" else mode,
         strategy="coordinate-exhaustive",
-        subset=list(best_w),
-        samples_used=evaluated,
+        subset=subset,
+        samples_used=len(masks),
     )
 
 
@@ -331,9 +311,10 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
 def estimate_expansion(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:
     """Overall minimum across the k = 1..floor(n/2) sweep for the configured
     strategy (the coordinate strategy already sweeps every subset size)."""
-    full = replace(cfg, k="all")
-    if full.strategy == "coordinate-exhaustive":
+    if cfg.k != "all":
+        raise InvalidParameters(f"estimate_expansion sweeps every k; got k={cfg.k!r}")
+    if cfg.strategy == "coordinate-exhaustive":
         return minimize_coordinate(t, p, mode="sp")
-    if full.strategy == "random-sample":
-        return minimize_random(t, p, full)
-    return minimize_riemannian(t, p, full)
+    if cfg.strategy == "random-sample":
+        return minimize_random(t, p, cfg)
+    return minimize_riemannian(t, p, cfg)

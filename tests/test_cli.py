@@ -145,6 +145,19 @@ def test_expansion_rejects_ignored_k(tmp_path):
     assert run_cli(["expansion", str(graph), "--mode", "classical", "--k", "2", "--quiet"]) == 2
 
 
+def _one_vertex_graph(tmp_path):
+    graph = tmp_path / "g1.json"
+    argv = ["gen", "random-regular", "--n", "1", "--d", "2", "--out", str(graph), "--quiet"]
+    assert run_cli(argv) == 0
+    return graph
+
+
+def test_expansion_classical_one_vertex_is_input_error(tmp_path, capsys):
+    graph = _one_vertex_graph(tmp_path)
+    assert run_cli(["expansion", str(graph), "--mode", "classical", "--quiet"]) == 2
+    assert "no admissible subset size for n=1" in capsys.readouterr().err
+
+
 def test_expansion_rejects_non_bistochastic_tuple(tmp_path, capsys):
     tup = tmp_path / "scaled.json"
     scaled = BistochasticTuple((2.0 * np.eye(4), 2.0 * np.eye(4)))
@@ -268,6 +281,12 @@ def test_embed_disconnected_graph_is_input_error(tmp_path):
     adjacency = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     bad.write_text(json.dumps({"n": 4, "d": 1, "adjacency": adjacency, "symmetric": True}))
     assert run_cli(["embed", str(bad), "--quiet"]) == 2
+
+
+def test_embed_one_vertex_is_input_error(tmp_path, capsys):
+    graph = _one_vertex_graph(tmp_path)
+    assert run_cli(["embed", str(graph), "--quiet"]) == 2
+    assert "n >= 2" in capsys.readouterr().err
 
 
 def test_gen_bad_params_is_input_error(tmp_path):

@@ -19,6 +19,7 @@ from spexp import (
 from spexp.errors import (
     DisconnectedGraph,
     InstanceTooLarge,
+    InvalidDimension,
     InvalidParameters,
     NotRegular,
 )
@@ -137,6 +138,13 @@ def test_edge_expansion_hypercube():
 def test_edge_expansion_too_large():
     with pytest.raises(InstanceTooLarge):
         edge_expansion_bruteforce(random_regular(30, 4, seed=1))
+
+
+def test_exact_sweeps_reject_one_vertex():
+    g = random_regular(1, 2, seed=0)  # one vertex carrying two loops
+    for sweep in (edge_expansion_bruteforce, cut_oracle_l1):
+        with pytest.raises(InvalidDimension):
+            sweep(g)
 
 
 def test_shortest_path_metric_values():

@@ -56,6 +56,11 @@ def test_coordinate_rejects_large_instances():
         minimize_coordinate(identity_tuple(25, 1), 2.0)
 
 
+def test_coordinate_rejects_unknown_mode():
+    with pytest.raises(InvalidParameters):
+        minimize_coordinate(cycle_tuple(6), 2.0, mode="foo")
+
+
 def test_coordinate_witness_recompute():
     t = random_unitary_tuple(6, 2, seed=10)
     est = minimize_coordinate(t, 3.0, mode="sp")
@@ -210,6 +215,12 @@ def test_estimate_expansion_dispatch():
 
     ident = estimate_expansion(identity_tuple(4, 2), 2.0, SearchConfig(strategy="random-sample", samples=5, seed=0))
     assert ident.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_estimate_expansion_rejects_fixed_k():
+    cfg = SearchConfig(strategy="random-sample", k=2, samples=5, seed=0)
+    with pytest.raises(InvalidParameters):
+        estimate_expansion(cycle_tuple(8), 2.0, cfg)
 
 
 def test_transfer_inequalities_over_shared_candidates_random():

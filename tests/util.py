@@ -1,6 +1,9 @@
 """Shared fixtures-in-code for the test suite: small canonical instances and
 the independent oracles used to freeze expected values."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
@@ -49,3 +52,78 @@ def finite_difference_gradient(fun, q: np.ndarray, h: float = 1e-5) -> np.ndarra
                 minus[i, j] -= h * unit
                 grad[i, j] += write * (fun(plus) - fun(minus)) / (2 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Reference subset sweeps: one combinations() loop per size, exact Fraction
+# comparison for the graph ratios, lexicographically smallest subset on ties.
+# ---------------------------------------------------------------------------
+
+
+def _first_minimum(scored):
+    """(value, subset) with the smallest value, then the smallest subset."""
+    best = None
+    best_w = None
+    for value, w in scored:
+        if best is None or value < best or (value == best and w < best_w):
+            best, best_w = value, w
+    return best, list(best_w)
+
+
+def _subsets(n: int):
+    for k in range(1, n // 2 + 1):
+        yield from combinations(range(n), k)
+
+
+def reference_edge_expansion(g):
+    """h(G) = min |boundary(W)| / (d |W|) as (float value, witness)."""
+    a, n, d = g.adjacency, g.n, g.d
+
+    def ratio(w):
+        k = len(w)
+        return Fraction(d * k - int(a[np.ix_(w, w)].sum()), d * k)
+
+    value, witness = _first_minimum((ratio(w), w) for w in _subsets(n))
+    return float(value), witness
+
+
+def reference_cut_oracle_l1(g):
+    """min over cuts of [(1/|E|) |cut edges|] / [(1/n^2) 2 |S| |S_bar|]."""
+    a, n, d = g.adjacency, g.n, g.d
+    edges = g.edge_count()
+
+    def ratio(s):
+        k = len(s)
+        boundary = d * k - int(a[np.ix_(s, s)].sum())
+        return Fraction(n * n * boundary, 2 * edges * k * (n - k))
+
+    value, witness = _first_minimum((ratio(s), s) for s in _subsets(n))
+    return float(value), witness
+
+
+def reference_coordinate(t, p, mode: str, rank_tol: float = 1e-8):
+    """Coordinate-subspace minimum of the Q, sp or dim ratio as
+    (value, witness, subsets evaluated)."""
+    n, d = t.n, t.d
+    weight = np.zeros((n, n))
+    for b in t.matrices:
+        weight += np.abs(b) ** 2
+    threshold = rank_tol * np.sqrt(d)
+
+    def ratio(w):
+        comp = [j for j in range(n) if j not in w]
+        if mode == "Q":
+            num = float(weight[np.ix_(comp, w)].sum())
+        else:
+            num = 0.0
+            for b in t.matrices:
+                s = np.linalg.svd(b[np.ix_(w, comp)], compute_uv=False)
+                if mode == "sp":
+                    num += float(np.sum(s**p))
+                else:
+                    num += int(np.count_nonzero(s > threshold))
+        return num / (d * len(w))
+
+    scored = [(ratio(w), w) for w in _subsets(n)]
+    value, witness = _first_minimum(scored)
+    return value, witness, len(scored)
