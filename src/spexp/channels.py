@@ -34,9 +34,9 @@ ORTHONORMAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BistochasticTuple:
-    """d matrices of size n x n, immutable after construction."""
+    """d matrices of size n x n, held as one read-only (d, n, n) array."""
 
-    matrices: tuple
+    matrices: np.ndarray
 
     def __post_init__(self):
         mats = tuple(as_matrix(m, "tuple member") for m in self.matrices)
@@ -48,17 +48,17 @@ class BistochasticTuple:
                 raise ShapeMismatch(
                     f"all members must be {n}x{n}, got {m.shape[0]}x{m.shape[1]}"
                 )
-        for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "matrices", stack)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def d(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,17 @@ def restrict(b, v: Subspace) -> np.ndarray:
 
 
 def restriction_singular_values(b, v: Subspace) -> np.ndarray:
-    """Singular values of the restriction, without forming the n x n product.
+    """Singular values of the restriction of one n x n matrix, or of each
+    matrix of a (d, n, n) stack, as a (k,) or (d, k) array.
 
     P_V B (Id - P_V) = Q (Q* B (Id - QQ*)) and left-multiplying by an isometry
-    preserves singular values, so the k x n compressed row block suffices.
+    preserves singular values, so the k x n compressed row block suffices;
+    a stack is compressed and decomposed in one batched call each.
     """
-    bm = as_matrix(b, "restriction input")
-    if bm.shape != (v.n, v.n):
+    bm = np.asarray(b, dtype=np.complex128)
+    if bm.ndim not in (2, 3) or not np.all(np.isfinite(bm)):
+        raise InvalidMatrix(f"restriction input must be finite and 2-D or 3-D, got ndim={bm.ndim}")
+    if bm.shape[-2:] != (v.n, v.n):
         raise ShapeMismatch(f"matrix must be {v.n}x{v.n}, got {bm.shape}")
     q = v.basis
     row = q.conj().T @ bm
@@ -181,43 +185,39 @@ def restriction_singular_values(b, v: Subspace) -> np.ndarray:
     return np.linalg.svd(row, compute_uv=False)
 
 
-def _check_half_dimension(v: Subspace):
-    if v.k < 1:
-        raise InvalidDimension("subspace dimension must be >= 1")
+def sp_numerator(s, p: float) -> float:
+    """sum_i sum_l s[i, l]^p of a (d, r) spectrum: the per-matrix sums are
+    added one after another in matrix order (cumsum; np.sum would pair them)."""
+    return float(np.cumsum(np.sum(s**p, axis=-1))[-1])
+
+
+def rank_numerator(s, rank_tol: float) -> int:
+    """Number of entries of a (d, r) spectrum above ``rank_tol * sqrt(d)``
+    (a restriction's singular values are bounded by sqrt(d))."""
+    return int(np.count_nonzero(s > rank_tol * np.sqrt(s.shape[0])))
+
+
+def _check_pair(t: BistochasticTuple, v: Subspace):
+    if v.n != t.n:
+        raise ShapeMismatch(f"subspace lives in C^{v.n}, tuple in C^{t.n}")
     if v.k > v.n // 2:
-        raise DimensionTooLarge(
-            f"subspace dimension {v.k} exceeds floor(n/2) = {v.n // 2}"
-        )
+        raise DimensionTooLarge(f"subspace dimension {v.k} exceeds floor(n/2) = {v.n // 2}")
 
 
 def expansion_ratio_sp(t: BistochasticTuple, v: Subspace, p: float) -> RatioValue:
     """Schatten-p ratio sum_i ||P_V B_i (Id-P_V)||_{S_p}^p / (d dim V)."""
-    if v.n != t.n:
-        raise ShapeMismatch(f"subspace lives in C^{v.n}, tuple in C^{t.n}")
-    _check_half_dimension(v)
+    _check_pair(t, v)
     p = _check_exponent(p)
-    num = 0.0
-    for b in t.matrices:
-        s = restriction_singular_values(b, v)
-        num += float(np.sum(s**p))
+    num = sp_numerator(restriction_singular_values(t.matrices, v), p)
     den = float(t.d * v.k)
     return RatioValue(num / den, num, den, p)
 
 
 def expansion_ratio_dim(t: BistochasticTuple, v: Subspace, rank_tol: float = RANK_TOL) -> RatioValue:
-    """Rank ratio sum_i rank(P_V B_i (Id-P_V)) / (d dim V).
-
-    Numerical rank counts singular values above ``rank_tol * sqrt(d)`` (the
-    restriction's singular values are bounded by sqrt(d)).
-    """
-    if v.n != t.n:
-        raise ShapeMismatch(f"subspace lives in C^{v.n}, tuple in C^{t.n}")
-    _check_half_dimension(v)
-    threshold = rank_tol * np.sqrt(t.d)
-    num = 0
-    for b in t.matrices:
-        s = restriction_singular_values(b, v)
-        num += int(np.count_nonzero(s > threshold))
+    """Rank ratio sum_i rank(P_V B_i (Id-P_V)) / (d dim V), with numerical
+    rank as in ``rank_numerator``."""
+    _check_pair(t, v)
+    num = rank_numerator(restriction_singular_values(t.matrices, v), rank_tol)
     den = float(t.d * v.k)
     return RatioValue(num / den, float(num), den, "dim")
 
@@ -229,9 +229,7 @@ def quantum_edge_ratio(t: BistochasticTuple, v: Subspace) -> RatioValue:
     Schatten-2 ratio, and on coordinate subspaces of permutation tuples it
     counts boundary edges.
     """
-    if v.n != t.n:
-        raise ShapeMismatch(f"subspace lives in C^{v.n}, tuple in C^{t.n}")
-    _check_half_dimension(v)
+    _check_pair(t, v)
     q = v.basis
     num = 0.0
     for b in t.matrices:

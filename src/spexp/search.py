@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import BistochasticTuple, Subspace, expansion_ratio_sp
+from .channels import (
+    RANK_TOL,
+    BistochasticTuple,
+    Subspace,
+    expansion_ratio_sp,
+    rank_numerator,
+    sp_numerator,
+)
 from .errors import (
     DimensionTooLarge,
     InvalidDimension,
@@ -87,7 +94,7 @@ class ExpansionEstimate:
 
 
 def minimize_coordinate(
-    t: BistochasticTuple, p: float, mode: str = "sp", rank_tol: float = 1e-8
+    t: BistochasticTuple, p: float, mode: str = "sp", rank_tol: float = RANK_TOL
 ) -> ExpansionEstimate:
     """Exact minimum over coordinate subspaces with 1 <= |W| <= floor(n/2).
 
@@ -103,16 +110,12 @@ def minimize_coordinate(
     n, d = t.n, t.d
     if mode == "sp":
         p = _check_exponent(p)
-    masks, sizes, num = _subset_boundaries(sum(np.abs(b) ** 2 for b in t.matrices))
+    masks, sizes, num = _subset_boundaries(np.sum(np.abs(t.matrices) ** 2, axis=0))
     if mode != "Q":
-        threshold = rank_tol * np.sqrt(d)
         for i, mask in enumerate(masks.tolist()):
             in_w = (mask >> np.arange(n)) & 1 == 1
-            spectra = [np.linalg.svd(b[np.ix_(in_w, ~in_w)], compute_uv=False) for b in t.matrices]
-            if mode == "sp":
-                num[i] = sum(float(np.sum(s**p)) for s in spectra)
-            else:
-                num[i] = sum(int(np.count_nonzero(s > threshold)) for s in spectra)
+            s = np.linalg.svd(t.matrices[:, in_w][:, :, ~in_w], compute_uv=False)
+            num[i] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s, rank_tol)
     value, subset = _lex_min(masks, num / (d * sizes))
     return ExpansionEstimate(
         value=value,

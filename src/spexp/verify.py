@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    RANK_TOL,
     BistochasticTuple,
     Subspace,
     expansion_ratio_dim,
@@ -70,17 +71,13 @@ def check_ratio_power(t, v, p, q, tol: float = RATIO_TOL, instance=None) -> Ineq
 
 def check_singular_bound(t, v, tol: float = SINGULAR_TOL, instance=None) -> InequalityReport:
     """max_i sigma_max(restriction of B_i) <= sqrt(d)."""
-    lhs = 0.0
-    for b in t.matrices:
-        s = restriction_singular_values(b, v)
-        if s.size:
-            lhs = max(lhs, float(s[0]))
+    lhs = float(restriction_singular_values(t.matrices, v)[:, 0].max())
     rhs = float(np.sqrt(t.d))
     return _report("singular_bound", lhs, rhs, tol, instance)
 
 
 def check_rank_relation(
-    t, v, p, rank_tol: float = 1e-8, tol: float = RATIO_TOL, instance=None
+    t, v, p, rank_tol: float = RANK_TOL, tol: float = RATIO_TOL, instance=None
 ) -> InequalityReport:
     """ratio_p(V) <= d^(p/2) * rank_ratio(V)."""
     lhs = expansion_ratio_sp(t, v, p).value

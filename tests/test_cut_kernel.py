@@ -104,6 +104,14 @@ def test_spectral_modes_match_reference_on_directed_tuples(t, p):
     _same_estimate(minimize_coordinate(t, p, mode="dim"), reference_coordinate(t, p, "dim"))
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(1, 4), SEEDS, st.floats(1.0, 6.0))
+def test_spectral_modes_match_reference_on_haar_tuples(n, d, seed, p):
+    t = random_unitary_tuple(n, d, seed)
+    _same_estimate(minimize_coordinate(t, p, mode="sp"), reference_coordinate(t, p, "sp"))
+    _same_estimate(minimize_coordinate(t, p, mode="dim"), reference_coordinate(t, p, "dim"))
+
+
 @SETTINGS
 @given(st.integers(2, 10), st.integers(1, 4), SEEDS)
 def test_boundary_mode_on_haar_tuples(n, d, seed):

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
+from spexp.channels import RANK_TOL
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -101,7 +102,7 @@ def reference_cut_oracle_l1(g):
     return float(value), witness
 
 
-def reference_coordinate(t, p, mode: str, rank_tol: float = 1e-8):
+def reference_coordinate(t, p, mode: str, rank_tol: float = RANK_TOL):
     """Coordinate-subspace minimum of the Q, sp or dim ratio as
     (value, witness, subsets evaluated)."""
     n, d = t.n, t.d
@@ -127,3 +128,44 @@ def reference_coordinate(t, p, mode: str, rank_tol: float = 1e-8):
     scored = [(ratio(w), w) for w in _subsets(n)]
     value, witness = _first_minimum(scored)
     return value, witness, len(scored)
+
+
+# ---------------------------------------------------------------------------
+# Reference restriction spectra: one compression and one SVD per matrix, and
+# the ratio numerators accumulated matrix by matrix.
+# ---------------------------------------------------------------------------
+
+
+def reference_spectrum(b, v):
+    """Singular values of the k x n compressed restriction Q* B (Id - QQ*)."""
+    q = v.basis
+    row = q.conj().T @ b
+    row = row - (row @ q) @ q.conj().T
+    return np.linalg.svd(row, compute_uv=False)
+
+
+def reference_sp_numerator(t, v, p):
+    """sum_i ||restriction of B_i||_{S_p}^p."""
+    num = 0.0
+    for b in t.matrices:
+        num += float(np.sum(reference_spectrum(b, v) ** p))
+    return num
+
+
+def reference_rank_count(t, v, rank_tol: float = RANK_TOL):
+    """sum_i rank(restriction of B_i), counting values above rank_tol sqrt(d)."""
+    threshold = rank_tol * np.sqrt(t.d)
+    num = 0
+    for b in t.matrices:
+        num += int(np.count_nonzero(reference_spectrum(b, v) > threshold))
+    return num
+
+
+def reference_max_singular(t, v):
+    """max_i sigma_max(restriction of B_i)."""
+    lhs = 0.0
+    for b in t.matrices:
+        s = reference_spectrum(b, v)
+        if s.size:
+            lhs = max(lhs, float(s[0]))
+    return lhs
