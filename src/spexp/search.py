@@ -17,7 +17,7 @@ witness; the search never reports an unattained value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class ExpansionEstimate:
     subset: list | None = None  # vertex subset, coordinate strategy only
     samples_used: int = 0
     iterations: int = 0
-    objective_traces: list = field(default_factory=list, repr=False)
 
 
 def minimize_coordinate(
@@ -291,12 +290,13 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
         raise InvalidParameters("config strategy must be 'riemannian'")
     p = _check_exponent(p)
     n = t.n
-    traces = []
+    iterations = 0
 
     def restart(k, r):
+        nonlocal iterations
         q0 = haar_isometry(n, k, substream(cfg.seed, k, r))
         qm, trace = _descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, f"k={k},r={r}")
-        traces.append(trace)
+        iterations += len(trace) - 1
         return Subspace(qm)
 
     value, k, witness = _best_candidate(t, p, cfg, cfg.restarts, restart)
@@ -306,8 +306,7 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
         k=k,
         p=p,
         strategy="riemannian",
-        iterations=sum(len(trace) - 1 for trace in traces),
-        objective_traces=traces,
+        iterations=iterations,
     )
 
 

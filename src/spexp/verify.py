@@ -2,9 +2,12 @@
 
 Each checker evaluates one theorem-backed inequality pointwise at a concrete
 (tuple, subspace) pair and reports lhs, rhs and the slack rhs - lhs; a pass is
-slack >= -tol. Because the inequalities are theorems for valid bistochastic
-tuples, a failing instance indicates an implementation bug and the full
-instance is serialized for replay.
+slack >= -tol. The four inequalities are functions of one restriction
+spectrum: a checker takes the (d, k) singular values
+``restriction_singular_values(t.matrices, v)`` (row i for B_i), and the sweep
+computes that spectrum once per instance. Because the inequalities are
+theorems for valid bistochastic tuples, a failing instance indicates an
+implementation bug and the full instance is serialized for replay.
 """
 
 from __future__ import annotations
@@ -15,16 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
+# expansion_ratio_sp and expansion_ratio_dim are not called here; they stay
+# bound in this module because bench/tracing.py wraps them by attribute.
+from .channels import (  # noqa: F401
     RANK_TOL,
     BistochasticTuple,
     Subspace,
     expansion_ratio_dim,
     expansion_ratio_sp,
+    rank_numerator,
     restriction_singular_values,
+    sp_numerator,
 )
-from .errors import InvalidExponentOrder
-from .linalg import haar_isometry, haar_unitary, substream
+from .errors import InvalidExponentOrder, InvalidMatrix, InvalidParameters
+from .linalg import _check_exponent, haar_isometry, haar_unitary, substream
 
 RATIO_TOL = 1e-9
 SINGULAR_TOL = 1e-8
@@ -48,40 +55,55 @@ def _check_order(p: float, q: float):
         raise InvalidExponentOrder(f"need q >= 1, got q={q}")
 
 
+def _shape(s) -> tuple:
+    """(d, k) of a restriction spectrum."""
+    if np.ndim(s) != 2 or 0 in np.shape(s):
+        raise InvalidMatrix(f"need a (d, k) restriction spectrum, got shape {np.shape(s)}")
+    return s.shape
+
+
+def _sp_ratio(s, p: float) -> float:
+    """Schatten-p ratio sum_i ||restriction of B_i||_{S_p}^p / (d k)."""
+    d, k = _shape(s)
+    return sp_numerator(s, _check_exponent(p)) / float(d * k)
+
+
 def _report(checker, lhs, rhs, tol, instance):
     slack = rhs - lhs
     return InequalityReport(checker, lhs, rhs, slack, slack >= -tol, tol, instance or {})
 
 
-def check_ratio_scaling(t, v, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
+def check_ratio_scaling(s, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
     """ratio_p(V) <= d^((p-q)/2) * ratio_q(V) for p >= q >= 1."""
     _check_order(p, q)
-    lhs = expansion_ratio_sp(t, v, p).value
-    rhs = t.d ** ((p - q) / 2.0) * expansion_ratio_sp(t, v, q).value
+    lhs = _sp_ratio(s, p)
+    rhs = s.shape[0] ** ((p - q) / 2.0) * _sp_ratio(s, q)
     return _report("ratio_scaling", lhs, rhs, tol, instance)
 
 
-def check_ratio_power(t, v, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
+def check_ratio_power(s, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
     """ratio_q(V) <= ratio_p(V)^(q/p) for p >= q >= 1 (the Hoelder chain)."""
     _check_order(p, q)
-    lhs = expansion_ratio_sp(t, v, q).value
-    rhs = expansion_ratio_sp(t, v, p).value ** (q / p)
+    lhs = _sp_ratio(s, q)
+    rhs = _sp_ratio(s, p) ** (q / p)
     return _report("ratio_power", lhs, rhs, tol, instance)
 
 
-def check_singular_bound(t, v, tol: float = SINGULAR_TOL, instance=None) -> InequalityReport:
+def check_singular_bound(s, tol: float = SINGULAR_TOL, instance=None) -> InequalityReport:
     """max_i sigma_max(restriction of B_i) <= sqrt(d)."""
-    lhs = float(restriction_singular_values(t.matrices, v)[:, 0].max())
-    rhs = float(np.sqrt(t.d))
+    d, _ = _shape(s)
+    lhs = float(s[:, 0].max())
+    rhs = float(np.sqrt(d))
     return _report("singular_bound", lhs, rhs, tol, instance)
 
 
 def check_rank_relation(
-    t, v, p, rank_tol: float = RANK_TOL, tol: float = RATIO_TOL, instance=None
+    s, p, rank_tol: float = RANK_TOL, tol: float = RATIO_TOL, instance=None
 ) -> InequalityReport:
     """ratio_p(V) <= d^(p/2) * rank_ratio(V)."""
-    lhs = expansion_ratio_sp(t, v, p).value
-    rhs = t.d ** (p / 2.0) * expansion_ratio_dim(t, v, rank_tol).value
+    lhs = _sp_ratio(s, p)
+    d, k = s.shape
+    rhs = d ** (p / 2.0) * (rank_numerator(s, rank_tol) / float(d * k))
     return _report("rank_relation", lhs, rhs, tol, instance)
 
 
@@ -95,6 +117,20 @@ class SweepConfig:
     d_range: tuple = (2, 5)
     p_range: tuple = (1.0, 6.0)
     seed: int = 0
+
+    def __post_init__(self):
+        (n_min, n_max), (d_min, d_max), (p_min, p_max) = self.n_range, self.d_range, self.p_range
+        if self.instances < 0:
+            raise InvalidParameters(f"instances must be >= 0, got {self.instances}")
+        if not 2 <= n_min <= n_max:
+            raise InvalidParameters(f"need 2 <= n_min <= n_max, got n range {self.n_range}")
+        if not 1 <= d_min <= d_max:
+            raise InvalidParameters(f"need 1 <= d_min <= d_max, got d range {self.d_range}")
+        # NaN fails every comparison; p_min <= p_max bounds p_min by a finite p_max
+        if not (np.isfinite(p_max) and 1 <= p_min <= p_max):
+            raise InvalidParameters(
+                f"need finite 1 <= p_min <= p_max, got p range {self.p_range}"
+            )
 
 
 def _draw_instance(cfg: SweepConfig, index: int):
@@ -113,11 +149,14 @@ def _draw_instance(cfg: SweepConfig, index: int):
 
 def _run_instance(cfg: SweepConfig, index: int):
     t, v, p, q, desc = _draw_instance(cfg, index)
+    # the kernel and the checkers are called through module globals, so a
+    # wrapper installed on one (bench/tracing.py) sees every call
+    s = restriction_singular_values(t.matrices, v)
     return [
-        check_ratio_scaling(t, v, p, q, instance=desc),
-        check_ratio_power(t, v, p, q, instance=desc),
-        check_singular_bound(t, v, instance=desc),
-        check_rank_relation(t, v, p, instance=desc),
+        check_ratio_scaling(s, p, q, instance=desc),
+        check_ratio_power(s, p, q, instance=desc),
+        check_singular_bound(s, instance=desc),
+        check_rank_relation(s, p, instance=desc),
     ]
 
 
@@ -144,7 +183,11 @@ def sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
     regardless of SPEXP_THREADS.
     """
     if workers is None:
-        workers = int(os.environ.get("SPEXP_THREADS", "1") or "1")
+        raw = os.environ.get("SPEXP_THREADS", "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidParameters(f"SPEXP_THREADS must be an integer, got {raw!r}") from None
     indices = list(range(cfg.instances))
     if workers > 1 and indices:
         with ThreadPoolExecutor(max_workers=workers) as pool:

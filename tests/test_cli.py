@@ -193,6 +193,28 @@ def test_verify_cli_exit_codes(tmp_path):
     assert run_cli(["verify", "--instances", "0", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--instances", "-5"],
+        ["--n-min", "9", "--n-max", "4"],
+        ["--n-min", "1", "--n-max", "1"],
+        ["--d-min", "0"],
+        ["--p-max", "nan"],
+        ["--p-min", "0.5"],
+    ],
+)
+def test_verify_bad_ranges_are_input_errors(bad, capsys):
+    assert run_cli(["verify", "--quiet", *bad]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_non_integer_threads_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPEXP_THREADS", "abc")
+    assert run_cli(["verify", "--instances", "3", "--quiet"]) == 2
+    assert "SPEXP_THREADS" in capsys.readouterr().err
+
+
 def test_verify_byte_identical_across_threads(tmp_path):
     env = dict(os.environ)
     outputs = []

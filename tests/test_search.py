@@ -21,8 +21,8 @@ from spexp.errors import (
     InvalidParameters,
     NonSmoothConfiguration,
 )
-from spexp import embed
-from spexp.linalg import haar_isometry, haar_unitary
+from spexp import embed, search
+from spexp.linalg import haar_isometry, haar_unitary, substream
 
 from util import coord, cycle_tuple, finite_difference_gradient, identity_tuple
 
@@ -170,8 +170,14 @@ def test_riemannian_cycle_beats_coordinate_witness():
 def _descent_traces(objective, max_iters):
     """Objective traces of the shared descent engine on each of its callers."""
     if objective == "riemannian":
-        cfg = SearchConfig(strategy="riemannian", k=2, restarts=4, max_iters=max_iters, seed=7)
-        return minimize_riemannian(random_unitary_tuple(8, 2, seed=8), 2.0, cfg).objective_traces
+        # the four restarts minimize_riemannian runs at k=2, seed=7
+        t = random_unitary_tuple(8, 2, seed=8)
+        return [
+            search._descend_subspace(
+                t, haar_isometry(8, 2, substream(7, 2, r)), 2.0, 1e-10, max_iters, r
+            )[1]
+            for r in range(4)
+        ]
     parts, normalize, shape = {
         "lp": (embed._lp_parts, embed._normalize_lp, (8, 3)),
         "sp": (embed._sp_parts, embed._normalize_sp, (8, 2, 2)),

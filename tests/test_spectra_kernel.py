@@ -1,6 +1,7 @@
-"""The batched restriction-spectrum kernel and its Schatten and rank
-reductions against per-matrix reference loops: identical bits on Haar tuples
-with Haar subspaces and on permutation tuples with coordinate subspaces."""
+"""The batched restriction-spectrum kernel, its Schatten and rank reductions
+and the verify checkers that reduce one spectrum against per-matrix
+reference loops: identical bits on Haar tuples with Haar subspaces and on
+permutation tuples with coordinate subspaces."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import given, settings, strategies as st
 from spexp import (
     BistochasticTuple,
     Subspace,
+    SweepConfig,
+    check_rank_relation,
+    check_ratio_power,
+    check_ratio_scaling,
     check_singular_bound,
     expansion_ratio_dim,
     expansion_ratio_sp,
@@ -16,9 +21,11 @@ from spexp import (
     restriction_singular_values,
     tuple_from_permutations,
 )
+from spexp import verify
 from spexp.errors import InvalidMatrix, ShapeMismatch
 
 from util import (
+    reference_checks,
     reference_max_singular,
     reference_rank_count,
     reference_sp_numerator,
@@ -56,7 +63,8 @@ def test_ratios_equal_per_matrix_reference(instance, p):
     sp = expansion_ratio_sp(t, v, p)
     assert (sp.numerator, sp.value) == (num, num / (t.d * v.k))
     assert expansion_ratio_dim(t, v).numerator == reference_rank_count(t, v)
-    assert check_singular_bound(t, v).lhs == reference_max_singular(t, v)
+    s = restriction_singular_values(t.matrices, v)
+    assert check_singular_bound(s).lhs == reference_max_singular(t, v)
 
 
 @SETTINGS
@@ -68,6 +76,34 @@ def test_stack_rows_equal_single_matrix_spectra(instance):
     for i, b in enumerate(t.matrices):
         single = restriction_singular_values(b, v)
         assert batched[i].tobytes() == single.tobytes() == reference_spectrum(b, v).tobytes()
+
+
+def _fields(reports):
+    return {r.checker: (r.lhs, r.rhs, r.slack, r.passed) for r in reports}
+
+
+@SETTINGS
+@given(SEEDS, st.integers(0, 10**6))
+def test_sweep_instance_reports_equal_reference_checkers(seed, index):
+    cfg = SweepConfig(instances=index + 1, seed=seed)
+    t, v, p, q, _ = verify._draw_instance(cfg, index)
+    assert _fields(verify._run_instance(cfg, index)) == reference_checks(t, v, p, q)
+
+
+@SETTINGS
+@given(permutation_instances(), st.floats(1.0, 6.0), st.floats(1.0, 6.0))
+def test_checkers_on_coordinate_subspaces_equal_reference(instance, a, b):
+    # every restriction singular value is 0 or 1: the zero-slack equality cases
+    t, v = instance
+    p, q = max(a, b), min(a, b)
+    s = restriction_singular_values(t.matrices, v)
+    reports = [
+        check_ratio_scaling(s, p, q),
+        check_ratio_power(s, p, q),
+        check_singular_bound(s),
+        check_rank_relation(s, p),
+    ]
+    assert _fields(reports) == reference_checks(t, v, p, q)
 
 
 def test_tuple_is_one_read_only_stack():

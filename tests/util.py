@@ -8,6 +8,7 @@ import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
 from spexp.channels import RANK_TOL
+from spexp.verify import RATIO_TOL, SINGULAR_TOL
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -169,3 +170,28 @@ def reference_max_singular(t, v):
         if s.size:
             lhs = max(lhs, float(s[0]))
     return lhs
+
+
+# ---------------------------------------------------------------------------
+# Reference verify checkers: each ratio recomputed from its own per-matrix
+# spectra, numerator over float(d k), as every checker did per call before
+# the sweep shared one spectrum per instance.
+# ---------------------------------------------------------------------------
+
+
+def reference_checks(t, v, p, q, rank_tol: float = RANK_TOL):
+    """checker name -> (lhs, rhs, slack, passed) of the four verify checkers."""
+
+    def sp_ratio(r):
+        return reference_sp_numerator(t, v, r) / float(t.d * v.k)
+
+    dim_ratio = reference_rank_count(t, v, rank_tol) / float(t.d * v.k)
+    rows = {
+        "ratio_scaling": (sp_ratio(p), t.d ** ((p - q) / 2.0) * sp_ratio(q), RATIO_TOL),
+        "ratio_power": (sp_ratio(q), sp_ratio(p) ** (q / p), RATIO_TOL),
+        "singular_bound": (reference_max_singular(t, v), float(np.sqrt(t.d)), SINGULAR_TOL),
+        "rank_relation": (sp_ratio(p), t.d ** (p / 2.0) * dim_ratio, RATIO_TOL),
+    }
+    return {
+        name: (lhs, rhs, rhs - lhs, rhs - lhs >= -tol) for name, (lhs, rhs, tol) in rows.items()
+    }
