@@ -46,6 +46,7 @@ from .graphs import (
     random_regular,
     shortest_path_metric,
 )
+from .linalg import as_rng
 from .search import SearchConfig, minimize_coordinate, minimize_random, minimize_riemannian
 from .serialize import (
     dumps_canonical,
@@ -130,7 +131,7 @@ def _cmd_gen(args) -> int:
         if args.perms:
             perms = permutations_from_json(_load_json(args.perms))
         else:
-            rng = np.random.default_rng(seed)
+            rng = as_rng(seed)
             perms = [rng.permutation(args.n).tolist() for _ in range(args.d)]
         t = tuple_from_permutations(perms)
         payload = {"tuple": tuple_to_json(t), "permutations": permutations_to_json(perms)}
@@ -279,10 +280,11 @@ def _cmd_embed(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
     )
+    m = g.n if args.m is None else args.m
     if args.target == "lp":
-        est = lp_expansion_estimate(g, args.p, args.m or g.n, cfg)
+        est = lp_expansion_estimate(g, args.p, m, cfg)
     else:
-        est = sp_expansion_estimate(g, args.p, args.m or g.n, cfg)
+        est = sp_expansion_estimate(g, args.p, m, cfg)
     r_rho = metric_ratio(g, shortest_path_metric(g), args.p)
     if args.p == 1.0 and g.n <= BRUTE_FORCE_LIMIT:
         h_low, _ = cut_oracle_l1(g)
@@ -298,7 +300,7 @@ def _cmd_embed(args) -> int:
         "estimate": est.value,
         "target": args.target,
         "p": args.p,
-        "m": args.m or g.n,
+        "m": m,
         "metric_ratio": r_rho,
         "distortion_lower_bound": bound,
         "bound_kind": bound_kind,
@@ -320,7 +322,7 @@ def _cmd_embed(args) -> int:
     if args.csv:
         line = "n,d,target,p,m,estimate,metric_ratio,bound,bound_kind\n"
         row = (
-            f"{g.n},{g.d},{args.target},{args.p},{args.m or g.n},"
+            f"{g.n},{g.d},{args.target},{args.p},{m},"
             f"{est.value!r},{r_rho!r},{bound!r},{bound_kind}\n"
         )
         write_header = not os.path.exists(args.csv)

@@ -70,22 +70,57 @@ class VertexEmbedding:
     def m(self) -> int:
         return self.images[0].shape[0]
 
-    def pair_distance(self, i: int, j: int) -> float:
-        diff = self.images[i] - self.images[j]
-        if self.target == TARGET_LP:
-            return float(np.sum(np.abs(diff) ** self.p) ** (1.0 / self.p))
-        s = np.linalg.svd(diff, compute_uv=False)
-        return float(np.sum(s**self.p) ** (1.0 / self.p))
+
+def _pair_blocks(x):
+    """(lo, hi, x[lo:hi, None] - x[None, :]) over row blocks of x, sized so
+    that each difference block holds about 2^22 entries."""
+    n = x.shape[0]
+    block = max(1, (1 << 22) // max(1, n * x[0].size))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        yield lo, hi, x[lo:hi, None] - x[None, :]
+
+
+# Each target contributes two functions of a (rows, n, *image_shape)
+# difference block. Both return per-pair terms along a last axis of length m;
+# a pair's value is the sum of its terms.
+#   smoothed(diff, p, eps) -> (terms of the smoothed ||diff||^p, the gradient
+#                              of their sum with respect to diff)
+#   powers(diff, p)        -> terms of the exact ||diff||^p
+
+
+def _lp_smoothed(diff, p, eps):
+    sq = diff**2 + eps
+    return sq ** (p / 2.0), p * diff * sq ** (p / 2.0 - 1.0)
+
+
+def _lp_powers(diff, p):
+    return np.abs(diff) ** p
+
+
+def _sp_smoothed(diff, p, eps):
+    """Terms (lambda + eps)^(p/2) over the eigenvalues lambda of D D^T, and
+    the gradient p (D D^T + eps)^(p/2 - 1) D, by one stacked eigh."""
+    lam, u = np.linalg.eigh(diff @ diff.swapaxes(-1, -2))
+    lam = np.clip(lam, 0.0, None) + eps
+    h = (u * (lam ** (p / 2.0 - 1.0))[..., None, :]) @ u.swapaxes(-1, -2)
+    return lam ** (p / 2.0), p * (h @ diff)
+
+
+def _sp_powers(diff, p):
+    return np.linalg.svd(diff, compute_uv=False) ** p
+
+
+_SMOOTHED = {TARGET_LP: _lp_smoothed, TARGET_SP: _sp_smoothed}
+_POWERS = {TARGET_LP: _lp_powers, TARGET_SP: _sp_powers}
 
 
 def _pair_powers(f: VertexEmbedding) -> np.ndarray:
-    """Matrix of ||f(i)-f(j)||^p for all ordered pairs."""
-    n = f.n
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dp = f.pair_distance(i, j) ** f.p
-            out[i, j] = out[j, i] = dp
+    """(n, n) matrix of ||f(i) - f(j)||^p over all ordered pairs."""
+    x = np.stack(f.images)
+    out = np.empty((f.n, f.n))
+    for lo, hi, diff in _pair_blocks(x):
+        out[lo:hi] = _POWERS[f.target](diff, f.p).sum(axis=-1)
     return out
 
 
@@ -128,36 +163,34 @@ class DistortionReport:
 def distortion(f: VertexEmbedding, rho: MetricMatrix) -> DistortionReport:
     if f.n != rho.n:
         raise ShapeMismatch(f"embedding has {f.n} images, metric {rho.n} points")
-    expansion = 0.0
-    contraction = 0.0
-    exp_pair = None
-    con_pair = None
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
-            r = rho.dist[i, j]
-            if r <= 0:
-                continue
-            delta = f.pair_distance(i, j)
-            if delta == 0.0:
-                return DistortionReport(
-                    D=float("inf"),
-                    expansion=float("inf"),
-                    contraction=float("inf"),
-                    expansion_pair=None,
-                    contraction_pair=None,
-                    infinite=True,
-                    offending_pair=(i, j),
-                )
-            if delta / r > expansion:
-                expansion, exp_pair = delta / r, (i, j)
-            if r / delta > contraction:
-                contraction, con_pair = r / delta, (i, j)
+    i, j = np.triu_indices(f.n, k=1)
+    r = rho.dist[i, j]
+    keep = r > 0
+    i, j, r = i[keep], j[keep], r[keep]
+    delta = (_pair_powers(f) ** (1.0 / f.p))[i, j]
+    # row-major (i, j) order: the first coincident pair, the first strict maxima
+    zero = np.flatnonzero(delta == 0.0)
+    if zero.size:
+        return DistortionReport(
+            D=float("inf"),
+            expansion=float("inf"),
+            contraction=float("inf"),
+            expansion_pair=None,
+            contraction_pair=None,
+            infinite=True,
+            offending_pair=(int(i[zero[0]]), int(j[zero[0]])),
+        )
+    if not r.size:
+        return DistortionReport(0.0, 0.0, 0.0, None, None)
+    stretch = delta / r
+    shrink = r / delta
+    e, c = int(np.argmax(stretch)), int(np.argmax(shrink))
     return DistortionReport(
-        D=expansion * contraction,
-        expansion=expansion,
-        contraction=contraction,
-        expansion_pair=exp_pair,
-        contraction_pair=con_pair,
+        D=float(stretch[e] * shrink[c]),
+        expansion=float(stretch[e]),
+        contraction=float(shrink[c]),
+        expansion_pair=(int(i[e]), int(j[e])),
+        contraction_pair=(int(i[c]), int(j[c])),
     )
 
 
@@ -229,57 +262,49 @@ def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
     return inits
 
 
-def _row_blocks(n: int, m: int):
-    """Row blocks sized so the (block, n, m) difference tensor stays small."""
-    block = max(1, (1 << 22) // max(1, n * m))
-    for lo in range(0, n, block):
-        yield lo, min(lo + block, n)
-
-
-def _lp_parts(x, w_edges, p, eps, n2, edge_count):
-    """Smoothed (num, den, grad_num, grad_den) for the vector objective."""
-    n, m = x.shape
+def _parts(x, w_edges, p, eps, n2, edge_count, smoothed):
+    """Smoothed (num, den, grad_num, grad_den) of the quotient objective."""
     num = 0.0
     den = 0.0
     gnum = np.zeros_like(x)
     gden = np.zeros_like(x)
-    for lo, hi in _row_blocks(n, m):
-        diff = x[lo:hi, None, :] - x[None, :, :]
-        phi = (diff**2 + eps) ** (p / 2.0)
-        t = phi.sum(axis=2)
-        for i in range(lo, hi):
-            t[i - lo, i] = 0.0
-        psi = p * diff * (diff**2 + eps) ** (p / 2.0 - 1.0)
+    for lo, hi, diff in _pair_blocks(x):
+        phi, psi = smoothed(diff, p, eps)
+        t = phi.sum(axis=-1)
+        t[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         num += float((w_edges[lo:hi] * t).sum())
         den += float(t.sum())
-        gnum[lo:hi] = np.einsum("ij,ija->ia", w_edges[lo:hi], psi)
+        gnum[lo:hi] = np.einsum("ij,ij...->i...", w_edges[lo:hi], psi)
         gden[lo:hi] = 2.0 * psi.sum(axis=1)
     return num / (2.0 * edge_count), den / n2, gnum / edge_count, gden / n2
 
 
-def _normalize_lp(x, p):
+def _normalize(x, p, powers):
+    """Center x and scale it to a unit pair average of ||x[i] - x[j]||^p;
+    None when all images coincide."""
     x = x - x.mean(axis=0)
-    n, m = x.shape
     total = 0.0
-    for lo, hi in _row_blocks(n, m):
-        total += float(np.sum(np.abs(x[lo:hi, None, :] - x[None, :, :]) ** p))
-    den = total / n**2
+    for _, _, diff in _pair_blocks(x):
+        total += float(np.sum(powers(diff, p)))
+    den = total / x.shape[0] ** 2
     if den <= 0:
         return None
     return x * den ** (-1.0 / p)
 
 
-def _descend_embedding(g, x0, p, max_iters, parts, normalize):
+def _descend_embedding(g, x0, p, max_iters, target):
     """Descent on the smoothed quotient ratio from x0, normalized once more;
     returns (final images, objective trace), or (None, []) when x0 cannot be
     normalized."""
+    smoothed, powers = _SMOOTHED[target], _POWERS[target]
     n = g.n
-    w = g.adjacency.astype(np.float64).copy()
-    np.fill_diagonal(w, 0.0)
+    # the pairs i < j weighted as embedding_ratio weighs them, made symmetric
+    upper = np.triu(g.adjacency, k=1).astype(np.float64)
+    w = upper + upper.T
     edge_count = float(g.edge_count())
 
     def evaluate(x):
-        num, den, gnum, gden = parts(x, w, p, EPSILON, n * n, edge_count)
+        num, den, gnum, gden = _parts(x, w, p, EPSILON, n * n, edge_count, smoothed)
 
         def slope():
             grad = (gnum - num / den * gden) / den
@@ -287,17 +312,17 @@ def _descend_embedding(g, x0, p, max_iters, parts, normalize):
 
         return num / den, slope
 
-    x = normalize(x0, p)
+    x = _normalize(x0, p, powers)
     if x is None:
         return None, []
     value, slope = evaluate(x)
     return descend(
-        x, value, slope, evaluate, lambda y: normalize(y, p),
+        x, value, slope, evaluate, lambda y: _normalize(y, p, powers),
         initial_step=0.5, grad_tol=1e-9, max_iters=max_iters,
     )
 
 
-def _best_of_starts(g, inits, p, cfg, target, parts, normalize) -> EmbedEstimate:
+def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
     """Normalize each start, descend from it, and keep the embedding with the
     smallest exact ratio (normalized starts included; earlier wins ties)."""
 
@@ -309,14 +334,14 @@ def _best_of_starts(g, inits, p, cfg, target, parts, normalize) -> EmbedEstimate
     total_iters = 0
     starts = 0
     for x0 in inits:
-        x_init = normalize(x0.astype(np.float64), p)
+        x_init = _normalize(x0.astype(np.float64), p, _POWERS[target])
         if x_init is None:
             continue
         starts += 1
         val = exact_ratio(x_init)
         if best_val is None or val < best_val:
             best_val, best_x = val, x_init
-        x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, parts, normalize)
+        x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, target)
         if x_fin is not None:
             total_iters += len(trace) - 1
             val = exact_ratio(x_fin)
@@ -344,50 +369,12 @@ def lp_expansion_estimate(
     if p < 1:
         raise InvalidExponent(f"p must be >= 1, got {p}")
     inits = _lp_init_points(g, m, cfg)
-    return _best_of_starts(g, inits, p, cfg, TARGET_LP, _lp_parts, _normalize_lp)
+    return _best_of_starts(g, inits, p, cfg, TARGET_LP)
 
 
 # ---------------------------------------------------------------------------
 # Schatten-p target
 # ---------------------------------------------------------------------------
-
-
-def _sp_parts(x, w_edges, p, eps, n2, edge_count):
-    n, m = x.shape[0], x.shape[1]
-    num = 0.0
-    den = 0.0
-    gnum = np.zeros_like(x)
-    gden = np.zeros_like(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = x[i] - x[j]
-            lam, u = np.linalg.eigh(d_ij @ d_ij.T)
-            lam = np.clip(lam, 0.0, None)
-            val = float(np.sum((lam + eps) ** (p / 2.0)))
-            h = (u * (lam + eps) ** (p / 2.0 - 1.0)) @ u.T
-            gd = p * (h @ d_ij)
-            wght = float(w_edges[i, j])
-            num += wght * val
-            den += 2.0 * val
-            gnum[i] += wght * gd
-            gnum[j] -= wght * gd
-            gden[i] += 2.0 * gd
-            gden[j] -= 2.0 * gd
-    return num / edge_count, den / n2, gnum / edge_count, gden / n2
-
-
-def _normalize_sp(x, p):
-    x = x - x.mean(axis=0)
-    n = x.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.linalg.svd(x[i] - x[j], compute_uv=False)
-            total += 2.0 * float(np.sum(s**p))
-    den = total / n**2
-    if den <= 0:
-        return None
-    return x * den ** (-1.0 / p)
 
 
 def sp_expansion_estimate(
@@ -404,15 +391,13 @@ def sp_expansion_estimate(
     lp_result = lp_expansion_estimate(g, p, m, cfg)  # also rejects bad g, p and m
     p = float(p)
     n = g.n
-    inits = []
     diag_lift = np.zeros((n, m, m))
-    for i, row in enumerate(lp_result.witness.images):
-        diag_lift[i][np.arange(m), np.arange(m)] = row
-    inits.append(diag_lift)
+    diag_lift[:, np.arange(m), np.arange(m)] = np.stack(lp_result.witness.images)
+    inits = [diag_lift]
     for r in range(cfg.restarts):
         rng = substream(cfg.seed, 11, r)
         inits.append(rng.standard_normal((n, m, m)))
-    return _best_of_starts(g, inits, p, cfg, TARGET_SP, _sp_parts, _normalize_sp)
+    return _best_of_starts(g, inits, p, cfg, TARGET_SP)
 
 
 def distortion_lower_bound(g: RegularGraph, p: float, h_est: float) -> float:

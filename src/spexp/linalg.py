@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidExponent, InvalidMatrix, RankDeficient
+from .errors import InvalidDimension, InvalidExponent, InvalidMatrix, InvalidParameters
+from .errors import RankDeficient
 
 SVD_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -35,15 +36,22 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _check_seed(seed):
+    """numpy seeds only from non-negative integers."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_seed(seed))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream for (seed, key...); order-independent."""
-    return np.random.default_rng([int(seed), *[int(k) for k in key]])
+    return np.random.default_rng([_check_seed(int(seed)), *[int(k) for k in key]])
 
 
 @dataclass

@@ -298,6 +298,30 @@ def test_embed_csv_batch(tmp_path):
     assert len(lines) == 3
 
 
+def test_embed_zero_dimension_is_input_error(tmp_path, capsys):
+    # m = 0 once ran silently at m = n while the manifest recorded "m": 0
+    graph = tmp_path / "c10.json"
+    run_cli(["gen", "cycle", "--n", "10", "--out", str(graph), "--quiet"])
+    res = tmp_path / "embed.json"
+    assert run_cli(["embed", str(graph), "--m", "0", "--out", str(res), "--quiet"]) == 2
+    assert "target dimension" in capsys.readouterr().err
+    assert not res.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--instances", "2", "--seed", "-1"],
+        ["gen", "unitary-tuple", "--n", "4", "--d", "2", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_is_input_error(argv, capsys):
+    assert run_cli([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_embed_disconnected_graph_is_input_error(tmp_path):
     bad = tmp_path / "disc.json"
     adjacency = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]

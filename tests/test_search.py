@@ -178,14 +178,14 @@ def _descent_traces(objective, max_iters):
             )[1]
             for r in range(4)
         ]
-    parts, normalize, shape = {
-        "lp": (embed._lp_parts, embed._normalize_lp, (8, 3)),
-        "sp": (embed._sp_parts, embed._normalize_sp, (8, 2, 2)),
+    target, shape = {
+        "lp": (embed.TARGET_LP, (8, 3)),
+        "sp": (embed.TARGET_SP, (8, 2, 2)),
     }[objective]
     rng = np.random.default_rng(7)
     return [
         embed._descend_embedding(
-            build_cycle(8), rng.standard_normal(shape), 1.5, max_iters, parts, normalize
+            build_cycle(8), rng.standard_normal(shape), 1.5, max_iters, target
         )[1]
         for _ in range(3)
     ]

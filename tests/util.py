@@ -8,6 +8,7 @@ import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
 from spexp.channels import RANK_TOL
+from spexp.embed import TARGET_LP
 from spexp.verify import RATIO_TOL, SINGULAR_TOL
 
 
@@ -195,3 +196,138 @@ def reference_checks(t, v, p, q, rank_tol: float = RANK_TOL):
     return {
         name: (lhs, rhs, rhs - lhs, rhs - lhs >= -tol) for name, (lhs, rhs, tol) in rows.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference embedding kernels: the l_p objective over row blocks of the
+# difference tensor, and the Schatten objective, normalization, pair powers
+# and distortion one vertex pair at a time (one eigh or SVD per pair).
+# ---------------------------------------------------------------------------
+
+
+def _reference_row_blocks(n: int, m: int):
+    block = max(1, (1 << 22) // max(1, n * m))
+    for lo in range(0, n, block):
+        yield lo, min(lo + block, n)
+
+
+def reference_lp_parts(x, w_edges, p, eps, n2, edge_count):
+    """Smoothed (num, den, grad_num, grad_den) for the vector objective."""
+    n, m = x.shape
+    num = 0.0
+    den = 0.0
+    gnum = np.zeros_like(x)
+    gden = np.zeros_like(x)
+    for lo, hi in _reference_row_blocks(n, m):
+        diff = x[lo:hi, None, :] - x[None, :, :]
+        phi = (diff**2 + eps) ** (p / 2.0)
+        t = phi.sum(axis=2)
+        for i in range(lo, hi):
+            t[i - lo, i] = 0.0
+        psi = p * diff * (diff**2 + eps) ** (p / 2.0 - 1.0)
+        num += float((w_edges[lo:hi] * t).sum())
+        den += float(t.sum())
+        gnum[lo:hi] = np.einsum("ij,ija->ia", w_edges[lo:hi], psi)
+        gden[lo:hi] = 2.0 * psi.sum(axis=1)
+    return num / (2.0 * edge_count), den / n2, gnum / edge_count, gden / n2
+
+
+def reference_normalize_lp(x, p):
+    x = x - x.mean(axis=0)
+    n, m = x.shape
+    total = 0.0
+    for lo, hi in _reference_row_blocks(n, m):
+        total += float(np.sum(np.abs(x[lo:hi, None, :] - x[None, :, :]) ** p))
+    den = total / n**2
+    if den <= 0:
+        return None
+    return x * den ** (-1.0 / p)
+
+
+def reference_sp_parts(x, w_edges, p, eps, n2, edge_count):
+    n = x.shape[0]
+    num = 0.0
+    den = 0.0
+    gnum = np.zeros_like(x)
+    gden = np.zeros_like(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_ij = x[i] - x[j]
+            lam, u = np.linalg.eigh(d_ij @ d_ij.T)
+            lam = np.clip(lam, 0.0, None)
+            val = float(np.sum((lam + eps) ** (p / 2.0)))
+            h = (u * (lam + eps) ** (p / 2.0 - 1.0)) @ u.T
+            gd = p * (h @ d_ij)
+            wght = float(w_edges[i, j])
+            num += wght * val
+            den += 2.0 * val
+            gnum[i] += wght * gd
+            gnum[j] -= wght * gd
+            gden[i] += 2.0 * gd
+            gden[j] -= 2.0 * gd
+    return num / edge_count, den / n2, gnum / edge_count, gden / n2
+
+
+def reference_normalize_sp(x, p):
+    x = x - x.mean(axis=0)
+    n = x.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.linalg.svd(x[i] - x[j], compute_uv=False)
+            total += 2.0 * float(np.sum(s**p))
+    den = total / n**2
+    if den <= 0:
+        return None
+    return x * den ** (-1.0 / p)
+
+
+def reference_pair_distance(f, i: int, j: int) -> float:
+    """Target-norm distance ||f(i) - f(j)|| of a VertexEmbedding."""
+    diff = f.images[i] - f.images[j]
+    if f.target == TARGET_LP:
+        return float(np.sum(np.abs(diff) ** f.p) ** (1.0 / f.p))
+    s = np.linalg.svd(diff, compute_uv=False)
+    return float(np.sum(s**f.p) ** (1.0 / f.p))
+
+
+def reference_pair_powers(f) -> np.ndarray:
+    """Matrix of ||f(i)-f(j)||^p for all ordered pairs."""
+    n = f.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dp = reference_pair_distance(f, i, j) ** f.p
+            out[i, j] = out[j, i] = dp
+    return out
+
+
+def reference_embedding_ratio(g, f) -> float:
+    dp = reference_pair_powers(f)
+    upper = np.triu_indices(g.n, k=1)
+    num = float((g.adjacency[upper] * dp[upper]).sum()) / g.edge_count()
+    den = float(dp.sum()) / g.n**2
+    return (num / den) ** (1.0 / f.p)
+
+
+def reference_distortion(f, rho):
+    """(D, expansion, contraction, expansion pair, contraction pair, offending
+    pair) from the first strict maxima in (i, j) row-major order; the first
+    coincident pair of metrically distinct points makes D infinite."""
+    expansion = 0.0
+    contraction = 0.0
+    exp_pair = None
+    con_pair = None
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            r = rho.dist[i, j]
+            if r <= 0:
+                continue
+            delta = reference_pair_distance(f, i, j)
+            if delta == 0.0:
+                return float("inf"), float("inf"), float("inf"), None, None, (i, j)
+            if delta / r > expansion:
+                expansion, exp_pair = delta / r, (i, j)
+            if r / delta > contraction:
+                contraction, con_pair = r / delta, (i, j)
+    return expansion * contraction, expansion, contraction, exp_pair, con_pair, None
