@@ -33,6 +33,7 @@ from .errors import (
     InvalidParameters,
     NumericalFailure,
     SpexpError,
+    UnsupportedStrategy,
 )
 from .graphs import (
     BRUTE_FORCE_LIMIT,
@@ -183,9 +184,7 @@ def _cmd_expansion(args) -> int:
         if args.strategy == "coordinate":
             est = minimize_coordinate(t, args.p, mode=args.mode)
         elif args.mode != "sp":
-            raise InstanceTooLarge(
-                f"mode {args.mode!r} supports only the coordinate strategy"
-            )
+            raise UnsupportedStrategy(f"mode {args.mode!r} supports only the coordinate strategy")
         else:
             strategy = "random-sample" if args.strategy == "random" else "riemannian"
             cfg = SearchConfig(
@@ -427,7 +426,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (InstanceTooLarge, DimensionTooLarge) as exc:
+    except (InstanceTooLarge, DimensionTooLarge, UnsupportedStrategy) as exc:
         print(f"spexp: infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NumericalFailure as exc:

@@ -41,6 +41,10 @@ class InstanceTooLarge(SpexpError):
     """Exhaustive search requested beyond the supported size."""
 
 
+class UnsupportedStrategy(SpexpError):
+    """Search strategy that the requested ratio mode does not support."""
+
+
 class InvalidParameters(SpexpError):
     """Infeasible or inconsistent construction parameters."""
 

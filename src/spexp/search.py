@@ -117,13 +117,9 @@ def minimize_coordinate(
             num[i] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s, rank_tol)
     value, subset = _lex_min(masks, num / (d * sizes))
     return ExpansionEstimate(
-        value=value,
-        witness=Subspace.coordinate(n, subset),
-        k=len(subset),
-        p=p if mode == "sp" else mode,
-        strategy="coordinate-exhaustive",
-        subset=subset,
-        samples_used=len(masks),
+        value=value, witness=Subspace.coordinate(n, subset), k=len(subset),
+        p=p if mode == "sp" else mode, strategy="coordinate-exhaustive",
+        subset=subset, samples_used=len(masks),
     )
 
 
@@ -144,11 +140,7 @@ def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Expans
 
     value, k, witness = _best_candidate(t, p, cfg, cfg.samples, sample)
     return ExpansionEstimate(
-        value=value,
-        witness=witness,
-        k=k,
-        p=p,
-        strategy="random-sample",
+        value=value, witness=witness, k=k, p=p, strategy="random-sample",
         samples_used=len(cfg.dims(n)) * cfg.samples,
     )
 
@@ -170,11 +162,14 @@ def _best_candidate(t, p, cfg, count, candidate):
 def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
     """Smoothed Schatten numerator and its Euclidean gradient in the basis.
 
-    Objective F(Q) = sum_i sum_l (sigma_l^2 + epsilon)^(p/2) over all n
-    singular values of P B_i (Id - P) with P = QQ*; smooth in Q for
+    With W_i = B_i* Q, Z_i = (Id - QQ*) W_i and the k x k Gram matrix
+    G_i = Z_i* Z_i, F(Q) = sum_i [sum_l (lambda_l(G_i) + epsilon)^(p/2)
+    + (n - k) epsilon^(p/2)]. At an orthonormal Q this sums
+    (sigma^2 + epsilon)^(p/2) over all n singular values of P B_i (Id - P),
+    P = QQ*; the formula extends F smoothly to every n x k matrix for
     epsilon > 0 (and for epsilon = 0 when p >= 2). The gradient is the Riesz
-    representer of dF under the real inner product Re Tr[A* B], so the
-    entrywise real/imag parts match central finite differences directly.
+    representer of dF under Re Tr[A* B] at any Q, so its entrywise real/imag
+    parts match central finite differences directly.
     """
     p = _check_exponent(p)
     epsilon = float(epsilon)
@@ -188,31 +183,32 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
     n = qm.shape[0]
     if (t.n, t.n) != (n, n):
         raise InvalidParameters(f"basis rows {n} do not match tuple size {t.n}")
-    proj = qm @ qm.conj().T
-    comp = np.eye(n) - proj
-    value = 0.0
-    grad = np.zeros_like(qm)
-    for b in t.matrices:
-        m = proj @ b @ comp
-        lam, u = np.linalg.eigh(m @ m.conj().T)
-        lam = np.clip(lam, 0.0, None)
-        value += float(np.sum((lam + epsilon) ** (p / 2.0)))
-        h = (u * (lam + epsilon) ** (p / 2.0 - 1.0)) @ u.conj().T
-        gm = p * (h @ m)
-        k_mat = b @ comp @ gm.conj().T - gm.conj().T @ proj @ b
-        grad += (k_mat + k_mat.conj().T) @ qm
-    return value, grad
+    return _smoothed_objective(t, qm, p, epsilon, True)
 
 
-def _objective_only(t, qm, p, epsilon):
-    proj = qm @ qm.conj().T
-    comp = np.eye(qm.shape[0]) - proj
-    value = 0.0
-    for b in t.matrices:
-        m = proj @ b @ comp
-        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0.0, None)
-        value += float(np.sum((lam + epsilon) ** (p / 2.0)))
-    return value
+def _adj(a):
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _smoothed_objective(t, qm, p, epsilon, need_grad):
+    """F(Q) of ``objective_and_gradient`` on the whole (d, n, n) stack at
+    O(d n^2 k); returns the value, or (value, gradient) with ``need_grad``."""
+    n, k = qm.shape
+    qh = qm.conj().T
+    w = _adj(qh @ t.matrices)
+    s_adj = qh @ w  # S_i* for S_i = Q* B_i Q
+    z = w - qm @ s_adj
+    lam, u = np.linalg.eigh(_adj(z) @ z)
+    lam = np.clip(lam, 0.0, None) + epsilon
+    # per-matrix terms added in matrix order, as sp_numerator does
+    per_matrix = np.sum(lam ** (p / 2.0), axis=-1) + (n - k) * epsilon ** (p / 2.0)
+    value = float(np.cumsum(per_matrix)[-1])
+    if not need_grad:
+        return value
+    y = p * ((z @ u) * lam[:, None, :] ** (p / 2.0 - 1.0)) @ _adj(u)  # dF = Re Tr[Y* dZ]
+    qhy = qh @ y
+    grad = t.matrices @ (y - qm @ qhy) - y @ _adj(s_adj) - w @ _adj(qhy)
+    return value, grad.sum(axis=0)
 
 
 def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iters):
@@ -269,7 +265,7 @@ def _descend_subspace(t, q0, p, epsilon, max_iters, restart_tag):
         def slope():
             return tangent(qm, objective_and_gradient(t, qm, p, epsilon)[1])
 
-        return _objective_only(t, qm, p, epsilon), slope
+        return _smoothed_objective(t, qm, p, epsilon, False), slope
 
     def retract(y):
         try:
@@ -301,12 +297,7 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
 
     value, k, witness = _best_candidate(t, p, cfg, cfg.restarts, restart)
     return ExpansionEstimate(
-        value=value,
-        witness=witness,
-        k=k,
-        p=p,
-        strategy="riemannian",
-        iterations=iterations,
+        value=value, witness=witness, k=k, p=p, strategy="riemannian", iterations=iterations
     )
 
 

@@ -30,11 +30,12 @@ from .channels import (  # noqa: F401
     restriction_singular_values,
     sp_numerator,
 )
-from .errors import InvalidExponentOrder, InvalidMatrix, InvalidParameters
+from .errors import InstanceTooLarge, InvalidExponentOrder, InvalidMatrix, InvalidParameters
 from .linalg import _check_exponent, haar_isometry, haar_unitary, substream
 
 RATIO_TOL = 1e-9
 SINGULAR_TOL = 1e-8
+MAX_TUPLE_BYTES = 1 << 30
 
 
 @dataclass
@@ -112,6 +113,9 @@ CHECKERS = ("ratio_scaling", "ratio_power", "singular_bound", "rank_relation")
 
 @dataclass
 class SweepConfig:
+    """Instance ranges; a (d_max, n_max, n_max) complex128 tuple above
+    MAX_TUPLE_BYTES (1 GiB) raises InstanceTooLarge before anything is drawn."""
+
     instances: int = 1000
     n_range: tuple = (4, 16)
     d_range: tuple = (2, 5)
@@ -131,6 +135,8 @@ class SweepConfig:
             raise InvalidParameters(
                 f"need finite 1 <= p_min <= p_max, got p range {self.p_range}"
             )
+        if float(d_max) * float(n_max) ** 2 * 16 > MAX_TUPLE_BYTES:
+            raise InstanceTooLarge(f"a d={d_max}, n={n_max} tuple exceeds {MAX_TUPLE_BYTES} bytes")
 
 
 def _draw_instance(cfg: SweepConfig, index: int):

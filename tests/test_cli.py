@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from spexp.cli import main
+from spexp.cli import build_parser, main
+from spexp.errors import UnsupportedStrategy
 from spexp.serialize import graph_from_json, tuple_from_json, tuple_to_json
 from spexp import BistochasticTuple, validate_bistochastic
 
@@ -123,12 +124,17 @@ def test_decompose_k4_and_reject_nonregular(tmp_path):
     assert run_cli(["decompose", str(bad), "--quiet"]) == 2
 
 
-def test_expansion_infeasible_mode_strategy_combination(tmp_path):
+@pytest.mark.parametrize("mode, strategy", [("Q", "random"), ("dim", "riemannian")])
+def test_expansion_infeasible_mode_strategy_combination(tmp_path, capsys, mode, strategy):
     tup = tmp_path / "t.json"
     run_cli(["gen", "unitary-tuple", "--n", "4", "--d", "2", "--out", str(tup), "--quiet"])
-    assert (
-        run_cli(["expansion", str(tup), "--mode", "Q", "--strategy", "random", "--quiet"]) == 3
-    )
+    argv = ["expansion", str(tup), "--mode", mode, "--strategy", strategy]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(UnsupportedStrategy):
+        args.func(args)
+    assert run_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "supports only the coordinate strategy" in err
 
 
 def test_expansion_missing_file_is_input_error(tmp_path):
@@ -207,6 +213,16 @@ def test_verify_cli_exit_codes(tmp_path):
 def test_verify_bad_ranges_are_input_errors(bad, capsys):
     assert run_cli(["verify", "--quiet", *bad]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "huge", [["--instances", "2", "--n-max", "100000"], ["--d-max", "1000000000"]]
+)
+def test_verify_oversized_range_is_infeasible(huge, capsys):
+    # refused by SweepConfig before any instance is drawn
+    assert run_cli(["verify", "--quiet", *huge]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "infeasible configuration" in err
 
 
 def test_verify_non_integer_threads_is_input_error(monkeypatch, capsys):

@@ -12,10 +12,16 @@ from spexp import (
     sweep,
     tuple_from_permutations,
 )
-from spexp.errors import InvalidExponent, InvalidExponentOrder, InvalidMatrix, InvalidParameters
+from spexp.errors import (
+    InstanceTooLarge,
+    InvalidExponent,
+    InvalidExponentOrder,
+    InvalidMatrix,
+    InvalidParameters,
+)
 from spexp.serialize import dumps_canonical, matrix_from_json, tuple_from_json
 from spexp.channels import Subspace, expansion_ratio_sp, restriction_singular_values
-from spexp.verify import CHECKERS
+from spexp.verify import CHECKERS, MAX_TUPLE_BYTES
 
 from util import coord, cycle_tuple, identity_tuple
 
@@ -159,6 +165,15 @@ def test_sweep_failure_serialization_is_replayable():
 def test_sweep_config_rejects_bad_ranges(bad):
     with pytest.raises(InvalidParameters):
         SweepConfig(**bad)
+
+
+def test_sweep_config_refuses_tuples_above_limit():
+    # a (1, 8192, 8192) complex128 tuple is exactly MAX_TUPLE_BYTES
+    assert MAX_TUPLE_BYTES == 1 << 30
+    SweepConfig(instances=1, n_range=(4, 8192), d_range=(1, 1))
+    for n_range, d_range in (((4, 8193), (1, 1)), ((4, 8192), (1, 2)), ((4, 16), (1, 10**12))):
+        with pytest.raises(InstanceTooLarge):
+            SweepConfig(instances=1, n_range=n_range, d_range=d_range)
 
 
 def test_sweep_config_accepts_smallest_ranges():

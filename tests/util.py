@@ -331,3 +331,41 @@ def reference_distortion(f, rho):
             if r / delta > contraction:
                 contraction, con_pair = r / delta, (i, j)
     return expansion * contraction, expansion, contraction, exp_pair, con_pair, None
+
+
+# ---------------------------------------------------------------------------
+# Reference Riemannian objective: two n x n projectors and one n x n eigh of
+# the full restriction P B_i (Id - P) per matrix.
+# ---------------------------------------------------------------------------
+
+
+def reference_objective_and_gradient(t, qm, p, epsilon, need_grad=True):
+    """Smoothed Schatten numerator sum_i sum_l (sigma_l^2 + epsilon)^(p/2)
+    over all n singular values of P B_i (Id - P), P = QQ*, and its gradient
+    (Riesz representer under Re Tr[A* B]) at an orthonormal basis Q."""
+    n = qm.shape[0]
+    proj = qm @ qm.conj().T
+    comp = np.eye(n) - proj
+    value = 0.0
+    grad = np.zeros_like(qm)
+    for b in t.matrices:
+        m = proj @ b @ comp
+        if not need_grad:
+            lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0.0, None)
+            value += float(np.sum((lam + epsilon) ** (p / 2.0)))
+            continue
+        lam, u = np.linalg.eigh(m @ m.conj().T)
+        lam = np.clip(lam, 0.0, None)
+        value += float(np.sum((lam + epsilon) ** (p / 2.0)))
+        h = (u * (lam + epsilon) ** (p / 2.0 - 1.0)) @ u.conj().T
+        gm = p * (h @ m)
+        k_mat = b @ comp @ gm.conj().T - gm.conj().T @ proj @ b
+        grad += (k_mat + k_mat.conj().T) @ qm
+    return (value, grad) if need_grad else value
+
+
+def tangent_part(qm, grad):
+    """Projection of a Euclidean gradient onto the tangent space of the
+    orthonormal-basis manifold at Q."""
+    qhg = qm.conj().T @ grad
+    return grad - qm @ ((qhg + qhg.conj().T) / 2.0)
