@@ -124,17 +124,17 @@ def test_decompose_k4_and_reject_nonregular(tmp_path):
     assert run_cli(["decompose", str(bad), "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("mode, strategy", [("Q", "random"), ("dim", "riemannian")])
-def test_expansion_infeasible_mode_strategy_combination(tmp_path, capsys, mode, strategy):
+def test_expansion_infeasible_mode_strategy_combination(tmp_path, capsys):
     tup = tmp_path / "t.json"
     run_cli(["gen", "unitary-tuple", "--n", "4", "--d", "2", "--out", str(tup), "--quiet"])
-    argv = ["expansion", str(tup), "--mode", mode, "--strategy", strategy]
-    args = build_parser().parse_args(argv)
-    with pytest.raises(UnsupportedStrategy):
-        args.func(args)
-    assert run_cli(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and "supports only the coordinate strategy" in err
+    for mode, strategy in [("Q", "random"), ("dim", "riemannian")]:
+        argv = ["expansion", str(tup), "--mode", mode, "--strategy", strategy]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(UnsupportedStrategy):
+            args.func(args)
+        assert run_cli(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "supports only the coordinate strategy" in err
 
 
 def test_expansion_missing_file_is_input_error(tmp_path):
