@@ -22,6 +22,7 @@ from .errors import (
     DimensionTooLarge,
     InvalidDimension,
     InvalidMatrix,
+    InvalidParameters,
     InvalidPermutation,
     ShapeMismatch,
 )
@@ -185,16 +186,23 @@ def restriction_singular_values(b, v: Subspace) -> np.ndarray:
     return np.linalg.svd(row, compute_uv=False)
 
 
-def sp_numerator(s, p: float) -> float:
-    """sum_i sum_l s[i, l]^p of a (d, r) spectrum: the per-matrix sums are
-    added one after another in matrix order (cumsum; np.sum would pair them)."""
-    return float(np.cumsum(np.sum(s**p, axis=-1))[-1])
+def sp_numerator(s, p: float):
+    """sum_i sum_l s[..., i, l]^p of a (..., d, r) spectrum: the per-matrix
+    sums are added one after another in matrix order (cumsum; np.sum would
+    pair them). A (d, r) spectrum gives a float, a stack an array."""
+    total = np.cumsum(np.sum(s**p, axis=-1), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
-def rank_numerator(s, rank_tol: float) -> int:
-    """Number of entries of a (d, r) spectrum above ``rank_tol * sqrt(d)``
-    (a restriction's singular values are bounded by sqrt(d))."""
-    return int(np.count_nonzero(s > rank_tol * np.sqrt(s.shape[0])))
+def rank_numerator(s, rank_tol: float):
+    """Number of entries of each (d, r) spectrum of a (..., d, r) stack above
+    ``rank_tol * sqrt(d)`` (a restriction's singular values are bounded by
+    sqrt(d)). A (d, r) spectrum gives an int, a stack an array."""
+    rank_tol = float(rank_tol)
+    if not (np.isfinite(rank_tol) and rank_tol >= 0):
+        raise InvalidParameters(f"rank_tol must be finite and >= 0, got {rank_tol}")
+    count = np.count_nonzero(s > rank_tol * np.sqrt(s.shape[-2]), axis=(-2, -1))
+    return int(count) if s.ndim == 2 else count
 
 
 def _check_pair(t: BistochasticTuple, v: Subspace):

@@ -44,6 +44,11 @@ MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 
+# complex entries (128 KiB) per batched SVD block of the coordinate sweep, or
+# one subset when its blocks alone are larger; the blocks of a whole size class
+# would not fit (|W| = 12 at n = 24, d = 4: 25 GB)
+_BLOCK_ENTRIES = 1 << 13
+
 STRATEGIES = ("coordinate-exhaustive", "random-sample", "riemannian")
 
 
@@ -100,9 +105,12 @@ def minimize_coordinate(
     On permutation tuples (modes sp and Q) this equals the multigraph's edge
     expansion. The restriction of B to a coordinate projector pair is the
     B[W, complement] block: mode Q sums its squared entries (the subset
-    kernel's boundary), modes sp and dim take its singular values. Each ratio
-    is one division by d |W|, so integer counts compare exactly as in
-    cut_oracle_l1; ties go to the lexicographically smallest vertex subset.
+    kernel's boundary), modes sp and dim take its singular values, with one
+    batched SVD per subset size in blocks of at most _BLOCK_ENTRIES complex
+    entries (LAPACK decomposes each matrix of a block on its own, so the
+    values do not depend on the blocking). Each ratio is one division by
+    d |W|, so integer counts compare exactly as in cut_oracle_l1; ties go to
+    the lexicographically smallest vertex subset.
     """
     if mode not in ("sp", "dim", "Q"):
         raise InvalidParameters(f"unknown coordinate mode {mode!r}")
@@ -111,16 +119,29 @@ def minimize_coordinate(
         p = _check_exponent(p)
     masks, sizes, num = _subset_boundaries(np.sum(np.abs(t.matrices) ** 2, axis=0))
     if mode != "Q":
-        for i, mask in enumerate(masks.tolist()):
-            in_w = (mask >> np.arange(n)) & 1 == 1
-            s = np.linalg.svd(t.matrices[:, in_w][:, :, ~in_w], compute_uv=False)
-            num[i] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s, rank_tol)
+        for k in range(1, n // 2 + 1):
+            of_size = np.flatnonzero(sizes == k)
+            step = max(1, _BLOCK_ENTRIES // (d * k * (n - k)))
+            for lo in range(0, len(of_size), step):
+                chunk = of_size[lo : lo + step]
+                s = np.linalg.svd(_blocks(t.matrices, masks[chunk], k), compute_uv=False)
+                num[chunk] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s, rank_tol)
     value, subset = _lex_min(masks, num / (d * sizes))
     return ExpansionEstimate(
         value=value, witness=Subspace.coordinate(n, subset), k=len(subset),
         p=p if mode == "sp" else mode, strategy="coordinate-exhaustive",
         subset=subset, samples_used=len(masks),
     )
+
+
+def _blocks(matrices, masks, k):
+    """The (S, d, k, n - k) stack of B_i[W, complement] blocks of S masks of
+    size k, rows and columns each in ascending vertex order."""
+    n = matrices.shape[-1]
+    outside = ((masks[:, None] >> np.arange(n)) & 1) ^ 1
+    order = np.argsort(outside, axis=1, kind="stable")  # members first
+    rows, cols = order[:, :k], order[:, k:]
+    return matrices[:, rows[:, :, None], cols[:, None, :]].swapaxes(0, 1)
 
 
 def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:

@@ -2,6 +2,8 @@
 identical value bits and witnesses on graphs and permutation tuples, and
 agreement to rounding on Haar tuples."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from spexp import (
     cut_oracle_l1,
     decompose_permutations,
     edge_expansion_bruteforce,
+    expansion_ratio_sp,
     is_connected,
     minimize_coordinate,
     quantum_edge_ratio,
@@ -20,6 +23,8 @@ from spexp import (
     random_unitary_tuple,
     tuple_from_permutations,
 )
+from spexp import search
+from spexp.channels import rank_numerator, sp_numerator
 from spexp.errors import DisconnectedGraph
 from spexp.graphs import RegularGraph
 
@@ -123,3 +128,68 @@ def test_boundary_mode_on_haar_tuples(n, d, seed):
     assert est.samples_used == evaluated
     assert abs(est.value - value) <= 1e-12 * value
     assert abs(quantum_edge_ratio(t, est.witness).value - est.value) <= 1e-12 * est.value
+
+
+def _block_budget(kind, n, d):
+    """1 puts one subset in each batched SVD; "uneven" makes the size class
+    |W| = n/2 split into blocks of C(n, n/2) - 1 subsets and one subset."""
+    if kind == 1:
+        return 1
+    k = n // 2
+    return max(1, comb(n, k) - 1) * d * k * (n - k)
+
+
+BUDGETS = st.sampled_from([1, "uneven"])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(directed_permutation_tuples(max_n=9), st.sampled_from([1.0, 1.5, 3.0]), BUDGETS)
+def test_spectral_modes_match_reference_across_blocks_on_directed_tuples(t, p, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, t.n, t.d))
+        for mode in ("sp", "dim"):
+            _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 9), st.integers(1, 5), SEEDS, st.floats(1.0, 6.0), BUDGETS)
+def test_spectral_modes_match_reference_across_blocks_on_haar_tuples(n, d, seed, p, budget):
+    t = random_unitary_tuple(n, d, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, n, d))
+        for mode in ("sp", "dim"):
+            _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 6), SEEDS, st.floats(1.0, 4.0))
+def test_batched_reductions_equal_per_spectrum_calls(stack, d, r, seed, p):
+    stack += stack == d  # a stack size equal to d would hide a swapped axis
+    rng = np.random.default_rng(seed)
+    s = rng.random((stack, d, r)) * np.sqrt(d)
+    s[rng.random(s.shape) < 0.3] = 0.0  # exact zeros, as rank-deficient blocks give
+    rank_tol = 1e-8
+    s[rng.random(s.shape) < 0.2] = rank_tol * np.sqrt(d)  # at the threshold: not counted
+    sp, rank = sp_numerator(s, p), rank_numerator(s, rank_tol)
+    assert sp.shape == rank.shape == (stack,)
+    for i in range(stack):
+        assert repr(float(sp[i])) == repr(sp_numerator(s[i], p))
+        assert int(rank[i]) == rank_numerator(s[i], rank_tol)
+    assert type(sp_numerator(s[0], p)) is float and type(rank_numerator(s[0], rank_tol)) is int
+
+
+@SETTINGS
+@given(GRAPHS, st.floats(1.0, 4.0))
+def test_spectral_modes_recover_edge_expansion_on_graph_tuples(g, p):
+    # every B_i[W, complement] block of a permutation tuple is a partial
+    # permutation: its rank is its number of ones, and each nonzero singular
+    # value is 1 up to rounding
+    t = tuple_from_permutations(decompose_permutations(g))
+    h, witness = edge_expansion_bruteforce(g)
+    dim = minimize_coordinate(t, p, mode="dim")
+    assert (repr(dim.value), dim.subset) == (repr(h), witness)
+    sp = minimize_coordinate(t, p, mode="sp")
+    assert abs(sp.value - h) <= 1e-12 * h
+    assert abs(expansion_ratio_sp(t, sp.witness, p).value - h) <= 1e-12 * h
+    outside = [j for j in range(g.n) if j not in sp.subset]
+    assert g.adjacency[np.ix_(outside, sp.subset)].sum() / (g.d * len(sp.subset)) == h
