@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: gen, expansion, decompose, verify, embed. Every output file
-embeds a run manifest (subcommand, parameters, master seed, tool version);
-wall-clock duration goes to stderr so reruns with the same manifest produce
-byte-identical payloads. Exit codes: 0 success, 2 input error, 3 infeasible
-configuration, 4 numerical failure. SPEXP_THREADS caps internal parallelism.
+embeds a run manifest: the subcommand, the master seed (``--seed``; null for
+decompose), the tool version and ``parameters``, which holds every parsed
+option of the subcommand except --seed, --out, --quiet and --csv, by its
+argparse dest, with unset (None) options left out. So gen manifests carry
+``directed`` and ``no_loops`` too. Wall-clock duration goes to stderr so
+reruns with the same manifest produce byte-identical payloads. Exit codes:
+0 success, 2 input error, 3 infeasible configuration, 4 numerical failure.
+SPEXP_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from . import __version__
 from .channels import random_unitary_tuple, tuple_from_permutations, validate_bistochastic
 from .embed import (
     OptimizerConfig,
-    distortion_lower_bound,
     l2_expansion_oracle,
     lp_expansion_estimate,
     sp_expansion_estimate,
@@ -68,22 +71,27 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 
-def _manifest(subcommand: str, params: dict, seed) -> dict:
-    clean = {k: v for k, v in params.items() if v is not None}
-    return {
-        "subcommand": subcommand,
-        "parameters": clean,
-        "seed": seed,
+# parsed options outside manifest.parameters: the subcommand and its handler,
+# the seed (a manifest field of its own) and where the output goes
+_NOT_PARAMETERS = frozenset({"command", "func", "seed", "out", "quiet", "csv"})
+
+
+def _emit(args, payload: dict) -> None:
+    """Write the payload under its run manifest, derived from the parsed options."""
+    parameters = {
+        k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS and v is not None
+    }
+    manifest = {
+        "subcommand": args.command,
+        "parameters": parameters,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-
-
-def _emit(document: dict, out_path: str | None, quiet: bool = False) -> None:
-    text = dumps_canonical(document)
-    if out_path:
+    text = dumps_canonical({"manifest": manifest, **payload})
+    if args.out:
         # a temp file of its own, so runs writing one output never collide
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(out_path) or ".", prefix=os.path.basename(out_path) + "."
+            dir=os.path.dirname(args.out) or ".", prefix=os.path.basename(args.out) + "."
         )
         try:
             with os.fdopen(fd, "w") as fh:
@@ -91,11 +99,11 @@ def _emit(document: dict, out_path: str | None, quiet: bool = False) -> None:
                 os.umask(mask)
                 os.fchmod(fh.fileno(), 0o666 & ~mask)  # the mode a plain open() gives
                 fh.write(text)
-            os.replace(tmp, out_path)
+            os.replace(tmp, args.out)
         except BaseException:
             os.unlink(tmp)
             raise
-    if not quiet:
+    if not args.quiet:
         sys.stdout.write(text)
 
 
@@ -138,14 +146,7 @@ def _cmd_gen(args) -> int:
         payload = {"tuple": tuple_to_json(t), "permutations": permutations_to_json(perms)}
     else:  # pragma: no cover - argparse restricts choices
         raise SpexpError(f"unknown kind {kind}")
-    params = {
-        "kind": kind,
-        "n": getattr(args, "n", None),
-        "d": getattr(args, "d", None),
-        "k": getattr(args, "k", None),
-        "perms": getattr(args, "perms", None),
-    }
-    _emit({"manifest": _manifest("gen", params, seed), **payload}, args.out, args.quiet)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -158,17 +159,6 @@ def _cmd_expansion(args) -> int:
     if args.k is not None and (args.mode == "classical" or args.strategy == "coordinate"):
         raise InvalidParameters("--k is used only by the random and riemannian strategies")
     doc = _load_json(args.input)
-    params = {
-        "input": args.input,
-        "mode": args.mode,
-        "p": args.p,
-        "strategy": args.strategy,
-        "k": args.k,
-        "samples": args.samples,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-        "epsilon": args.epsilon,
-    }
     if args.mode == "classical":
         g = graph_from_json(doc.get("graph", doc))
         value, witness = edge_expansion_bruteforce(g)
@@ -201,11 +191,7 @@ def _cmd_expansion(args) -> int:
             else:
                 est = minimize_riemannian(t, args.p, cfg)
         result = {"estimate": estimate_to_json(est), "mode": args.mode}
-    _emit(
-        {"manifest": _manifest("expansion", params, args.seed), "result": result},
-        args.out,
-        args.quiet,
-    )
+    _emit(args, {"result": result})
     return EXIT_OK
 
 
@@ -223,15 +209,7 @@ def _cmd_decompose(args) -> int:
         recon[perm, np.arange(g.n)] += 1
     if np.any(recon != g.adjacency):
         raise NumericalFailure("decomposition failed to reconstruct the adjacency")
-    params = {"input": args.input}
-    _emit(
-        {
-            "manifest": _manifest("decompose", params, None),
-            **permutations_to_json(perms),
-        },
-        args.out,
-        args.quiet,
-    )
+    _emit(args, permutations_to_json(perms))
     return EXIT_OK
 
 
@@ -249,20 +227,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
     )
     report = sweep(cfg)
-    params = {
-        "instances": args.instances,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "d_min": args.d_min,
-        "d_max": args.d_max,
-        "p_min": args.p_min,
-        "p_max": args.p_max,
-    }
-    _emit(
-        {"manifest": _manifest("verify", params, args.seed), "result": report},
-        args.out,
-        args.quiet,
-    )
+    _emit(args, {"result": report})
     return EXIT_OK if report["all_pass"] else 1
 
 
@@ -294,7 +259,7 @@ def _cmd_embed(args) -> int:
     else:
         h_low = est.value
         bound_kind = "heuristic"
-    bound = distortion_lower_bound(g, args.p, h_low)
+    bound = float(h_low) / r_rho  # distortion_lower_bound, without a second metric ratio
     result = {
         "estimate": est.value,
         "target": args.target,
@@ -305,19 +270,7 @@ def _cmd_embed(args) -> int:
         "bound_kind": bound_kind,
         "witness": embedding_to_json(est.witness),
     }
-    params = {
-        "input": args.input,
-        "target": args.target,
-        "p": args.p,
-        "m": args.m,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
-    _emit(
-        {"manifest": _manifest("embed", params, args.seed), "result": result},
-        args.out,
-        args.quiet,
-    )
+    _emit(args, {"result": result})
     if args.csv:
         line = "n,d,target,p,m,estimate,metric_ratio,bound,bound_kind\n"
         row = (
@@ -344,8 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spexp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--quiet", action="store_true")
 
-    g = sub.add_parser("gen", help="generate graphs and tuples")
+    g = sub.add_parser("gen", parents=[output], help="generate graphs and tuples")
     g.add_argument(
         "kind",
         choices=[
@@ -364,11 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--perms", help="JSON permutations file for permutation-tuple")
     g.add_argument("--directed", action="store_true", help="asymmetric random graph")
     g.add_argument("--no-loops", action="store_true", help="forbid loops")
-    g.add_argument("--out")
-    g.add_argument("--quiet", action="store_true")
     g.set_defaults(func=_cmd_gen)
 
-    e = sub.add_parser("expansion", help="minimize an expansion functional")
+    e = sub.add_parser("expansion", parents=[output], help="minimize an expansion functional")
     e.add_argument("input", help="tuple or graph JSON file")
     e.add_argument("--mode", choices=["sp", "dim", "Q", "classical"], default="sp")
     e.add_argument("--p", type=float, default=2.0)
@@ -376,45 +330,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=["coordinate", "random", "riemannian"], default="coordinate"
     )
     e.add_argument("--k", type=int, default=None, help="fixed subspace dimension")
-    e.add_argument("--samples", type=int, default=100)
-    e.add_argument("--restarts", type=int, default=8)
-    e.add_argument("--max-iters", type=int, default=200)
-    e.add_argument("--epsilon", type=float, default=1e-10)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out")
-    e.add_argument("--quiet", action="store_true")
+    e.add_argument("--samples", type=int, default=SearchConfig.samples)
+    e.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    e.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
+    e.add_argument("--epsilon", type=float, default=SearchConfig.epsilon)
+    e.add_argument("--seed", type=int, default=SearchConfig.seed)
     e.set_defaults(func=_cmd_expansion)
 
-    d = sub.add_parser("decompose", help="decompose a regular graph into permutations")
+    d = sub.add_parser(
+        "decompose", parents=[output], help="decompose a regular graph into permutations"
+    )
     d.add_argument("input")
-    d.add_argument("--out")
-    d.add_argument("--quiet", action="store_true")
     d.set_defaults(func=_cmd_decompose)
 
-    v = sub.add_parser("verify", help="run the inequality sweep")
-    v.add_argument("--instances", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--n-min", type=int, default=4)
-    v.add_argument("--n-max", type=int, default=16)
-    v.add_argument("--d-min", type=int, default=2)
-    v.add_argument("--d-max", type=int, default=5)
-    v.add_argument("--p-min", type=float, default=1.0)
-    v.add_argument("--p-max", type=float, default=6.0)
-    v.add_argument("--out")
-    v.add_argument("--quiet", action="store_true")
+    v = sub.add_parser("verify", parents=[output], help="run the inequality sweep")
+    v.add_argument("--instances", type=int, default=SweepConfig.instances)
+    v.add_argument("--seed", type=int, default=SweepConfig.seed)
+    v.add_argument("--n-min", type=int, default=SweepConfig.n_range[0])
+    v.add_argument("--n-max", type=int, default=SweepConfig.n_range[1])
+    v.add_argument("--d-min", type=int, default=SweepConfig.d_range[0])
+    v.add_argument("--d-max", type=int, default=SweepConfig.d_range[1])
+    v.add_argument("--p-min", type=float, default=SweepConfig.p_range[0])
+    v.add_argument("--p-max", type=float, default=SweepConfig.p_range[1])
     v.set_defaults(func=_cmd_verify)
 
-    m = sub.add_parser("embed", help="embedding expansion estimate and distortion bound")
+    m = sub.add_parser(
+        "embed", parents=[output], help="embedding expansion estimate and distortion bound"
+    )
     m.add_argument("input")
     m.add_argument("--target", choices=["lp", "sp"], default="lp")
     m.add_argument("--p", type=float, default=1.0)
     m.add_argument("--m", type=int, default=None, help="target dimension (default n)")
-    m.add_argument("--restarts", type=int, default=6)
-    m.add_argument("--max-iters", type=int, default=300)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    m.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
+    m.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     m.add_argument("--csv", help="append a CSV row for batch experiments")
-    m.add_argument("--out")
-    m.add_argument("--quiet", action="store_true")
     m.set_defaults(func=_cmd_embed)
 
     return parser

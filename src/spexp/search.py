@@ -69,8 +69,10 @@ class SearchConfig:
             raise InvalidParameters("k must be >= 1 or 'all'")
         if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:
             raise InvalidParameters("counts must be >= 1")
-        if self.epsilon < 0:
-            raise InvalidParameters("smoothing epsilon must be >= 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidParameters(
+                f"smoothing epsilon must be finite and >= 0, got {self.epsilon}"
+            )
 
     def dims(self, n: int) -> list:
         if n < 2:
@@ -119,6 +121,7 @@ def minimize_coordinate(
         p = _check_exponent(p)
     masks, sizes, num = _subset_boundaries(np.sum(np.abs(t.matrices) ** 2, axis=0))
     if mode != "Q":
+        num = np.full(len(masks), np.nan)  # a subset the sweep skips shows as NaN
         for k in range(1, n // 2 + 1):
             of_size = np.flatnonzero(sizes == k)
             step = max(1, _BLOCK_ENTRIES // (d * k * (n - k)))
@@ -194,8 +197,8 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
     """
     p = _check_exponent(p)
     epsilon = float(epsilon)
-    if epsilon < 0:
-        raise InvalidParameters("smoothing epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidParameters(f"smoothing epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0.0 and p < 2:
         raise NonSmoothConfiguration(
             "epsilon = 0 makes the Schatten-p objective nonsmooth for p < 2"

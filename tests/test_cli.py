@@ -361,3 +361,52 @@ def test_gen_stdout_payload(capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["graph"]["n"] == 4
+
+
+MANIFEST_ARGV = {
+    "gen": ["gen", "random-regular", "--n", "6", "--d", "3", "--seed", "4", "--no-loops"],
+    "expansion": ["expansion", "{tuple}", "--strategy", "random", "--k", "1", "--samples", "3"],
+    "decompose": ["decompose", "{graph}"],
+    "verify": ["verify", "--instances", "2", "--seed", "3", "--p-max", "2.5"],
+    "embed": ["embed", "{graph}", "--target", "sp", "--p", "2", "--max-iters", "5",
+              "--csv", "{csv}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_ARGV))
+def test_manifest_parameters_are_the_parsed_options(command, tmp_path):
+    graph, tup = tmp_path / "c6.json", tmp_path / "t6.json"
+    run_cli(["gen", "cycle", "--n", "6", "--out", str(graph), "--quiet"])
+    run_cli(["gen", "permutation-tuple", "--n", "6", "--out", str(tup), "--quiet"])
+    paths = {"graph": graph, "tuple": tup, "csv": tmp_path / "rows.csv"}
+    argv = [a.format(**paths) for a in MANIFEST_ARGV[command]]
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--out", str(out), "--quiet"]) == 0
+    options = vars(build_parser().parse_args(argv))
+    manifest = read_json(out)["manifest"]
+    assert manifest["subcommand"] == command
+    assert manifest["seed"] == options.get("seed")
+    assert manifest["parameters"] == {
+        k: v
+        for k, v in options.items()
+        if k not in ("command", "func", "seed", "out", "quiet", "csv") and v is not None
+    }
+
+
+def test_gen_manifest_records_directed_and_no_loops(capsys):
+    argv = ["gen", "random-regular", "--n", "6", "--d", "3", "--seed", "4"]
+    manifests = []
+    for flags in ([], ["--directed", "--no-loops"]):
+        assert main(argv + flags) == 0
+        manifests.append(json.loads(capsys.readouterr().out)["manifest"])
+    assert manifests[0] != manifests[1]
+    assert manifests[1]["parameters"]["directed"] is manifests[1]["parameters"]["no_loops"] is True
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_expansion_bad_epsilon_is_input_error(epsilon, tmp_path, capsys):
+    tup = tmp_path / "t.json"
+    run_cli(["gen", "unitary-tuple", "--n", "4", "--d", "2", "--out", str(tup), "--quiet"])
+    argv = ["expansion", str(tup), "--strategy", "riemannian", "--epsilon", epsilon, "--quiet"]
+    assert run_cli(argv) == 2
+    assert "smoothing epsilon must be finite and >= 0" in capsys.readouterr().err

@@ -5,6 +5,7 @@ finite differences at general bases; and the reported value of a Riemannian
 run recomputed at its witness."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexp import (
@@ -15,6 +16,7 @@ from spexp import (
     random_unitary_tuple,
     tuple_from_permutations,
 )
+from spexp.errors import InvalidParameters
 from spexp.search import _smoothed_objective, objective_and_gradient
 
 from util import finite_difference_gradient, reference_objective_and_gradient, tangent_part
@@ -93,3 +95,10 @@ def test_riemannian_value_is_ratio_at_witness(t, p, data):
     )
     est = minimize_riemannian(t, p, cfg)
     assert est.value == expansion_ratio_sp(t, est.witness, p).value
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+def test_objective_rejects_bad_epsilon(epsilon):
+    t = random_unitary_tuple(4, 2, 0)
+    with pytest.raises(InvalidParameters):
+        objective_and_gradient(t, np.eye(4, 2), 2.0, epsilon)

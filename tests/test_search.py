@@ -255,8 +255,9 @@ def test_search_config_validation():
         SearchConfig(strategy="nope")
     with pytest.raises(InvalidParameters):
         SearchConfig(samples=0)
-    with pytest.raises(InvalidParameters):
-        SearchConfig(epsilon=-1.0)
+    for epsilon in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameters):
+            SearchConfig(epsilon=epsilon)
 
 
 def test_riemannian_determinism():
