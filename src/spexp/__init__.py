@@ -63,7 +63,6 @@ from .linalg import (
 from .search import (
     ExpansionEstimate,
     SearchConfig,
-    estimate_expansion,
     minimize_coordinate,
     minimize_random,
     minimize_riemannian,

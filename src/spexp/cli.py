@@ -158,6 +158,17 @@ def _cmd_gen(args) -> int:
 def _cmd_expansion(args) -> int:
     if args.k is not None and (args.mode == "classical" or args.strategy == "coordinate"):
         raise InvalidParameters("--k is used only by the random and riemannian strategies")
+    # every option lands in the manifest, so those this run ignores are checked too
+    cfg = SearchConfig(
+        k=args.k,
+        samples=args.samples,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        epsilon=args.epsilon,
+        seed=args.seed,
+    )
+    if not np.isfinite(args.p):
+        raise InvalidParameters(f"--p must be finite, got {args.p}")
     doc = _load_json(args.input)
     if args.mode == "classical":
         g = graph_from_json(doc.get("graph", doc))
@@ -175,21 +186,10 @@ def _cmd_expansion(args) -> int:
             est = minimize_coordinate(t, args.p, mode=args.mode)
         elif args.mode != "sp":
             raise UnsupportedStrategy(f"mode {args.mode!r} supports only the coordinate strategy")
+        elif args.strategy == "random":
+            est = minimize_random(t, args.p, cfg)
         else:
-            strategy = "random-sample" if args.strategy == "random" else "riemannian"
-            cfg = SearchConfig(
-                strategy=strategy,
-                k=args.k if args.k is not None else "all",
-                samples=args.samples,
-                restarts=args.restarts,
-                max_iters=args.max_iters,
-                epsilon=args.epsilon,
-                seed=args.seed,
-            )
-            if strategy == "random-sample":
-                est = minimize_random(t, args.p, cfg)
-            else:
-                est = minimize_riemannian(t, args.p, cfg)
+            est = minimize_riemannian(t, args.p, cfg)
         result = {"estimate": estimate_to_json(est), "mode": args.mode}
     _emit(args, {"result": result})
     return EXIT_OK

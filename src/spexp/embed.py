@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import (
     DegenerateEmbedding,
-    InvalidExponent,
     InvalidParameters,
     NumericalFailure,
     ShapeMismatch,
 )
 from .graphs import MetricMatrix, RegularGraph, _cut_ratio, is_connected, metric_ratio
 from .graphs import shortest_path_metric
-from .linalg import substream
+from .linalg import _check_exponent, substream
 from .search import descend
 
 TARGET_LP = "vector-lp"
@@ -45,9 +44,7 @@ class VertexEmbedding:
     def __post_init__(self):
         if self.target not in (TARGET_LP, TARGET_SP):
             raise InvalidParameters(f"unknown target {self.target!r}")
-        self.p = float(self.p)
-        if not np.isfinite(self.p) or self.p < 1:
-            raise InvalidExponent(f"embedding exponent must lie in [1, inf), got {self.p}")
+        self.p = _check_exponent(self.p)
         imgs = [np.asarray(x) for x in self.images]
         if not imgs:
             raise InvalidParameters("embedding needs at least one image")
@@ -365,9 +362,7 @@ def lp_expansion_estimate(
         raise InvalidParameters("target dimension m must be >= 1")
     if not is_connected(g):
         raise InvalidParameters("estimator needs a connected graph")
-    p = float(p)
-    if p < 1:
-        raise InvalidExponent(f"p must be >= 1, got {p}")
+    p = _check_exponent(p)
     inits = _lp_init_points(g, m, cfg)
     return _best_of_starts(g, inits, p, cfg, TARGET_LP)
 

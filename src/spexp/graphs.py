@@ -24,7 +24,7 @@ from .errors import (
     NotRegular,
     ShapeMismatch,
 )
-from .linalg import as_rng
+from .linalg import _check_exponent, as_rng
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -349,6 +349,7 @@ def metric_ratio_parts(g: RegularGraph, rho: MetricMatrix, p: float):
     |E| but contributing rho(i,i)=0); denominator = ordered-pair average over
     all n^2 pairs including the diagonal.
     """
+    p = _check_exponent(p)
     if rho.n != g.n:
         raise ShapeMismatch(f"metric is on {rho.n} points, graph on {g.n}")
     if g.n < 2:

@@ -87,7 +87,7 @@ def singular_values(m) -> np.ndarray:
 def _check_exponent(p: float) -> float:
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
-        raise InvalidExponent(f"Schatten exponent must lie in [1, inf), got {p}")
+        raise InvalidExponent(f"exponent must lie in [1, inf), got {p}")
     return p
 
 
@@ -104,33 +104,24 @@ def schatten_norm(m, p: float) -> float:
     return schatten_norm_pow(m, p) ** (1.0 / p)
 
 
-def _qr_phase_corrected(z: np.ndarray) -> np.ndarray:
-    """QR orthonormalization with the R-diagonal phases folded back in, which
-    turns a Ginibre sample into an exactly Haar-distributed factor."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) == 0] = 1.0  # zero pivots occur with probability zero
-    return q * (d / np.abs(d))
-
-
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary."""
-    if n < 1:
-        raise InvalidDimension(f"unitary dimension must be >= 1, got {n}")
-    rng = as_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return _qr_phase_corrected(z)
+    return haar_isometry(n, n, seed)
 
 
 def haar_isometry(n: int, k: int, seed) -> np.ndarray:
-    """n x k matrix with orthonormal columns, Haar on the Stiefel manifold."""
+    """n x k matrix with orthonormal columns, Haar on the Stiefel manifold: the
+    QR factor of a Ginibre sample with the R-diagonal phases folded back in."""
     if n < 1 or k < 1:
         raise InvalidDimension(f"isometry dims must be >= 1, got n={n}, k={k}")
     if k > n:
         raise InvalidDimension(f"need k <= n, got k={k}, n={n}")
     rng = as_rng(seed)
     z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
-    return _qr_phase_corrected(z)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[np.abs(d) == 0] = 1.0  # zero pivots occur with probability zero
+    return q * (d / np.abs(d))
 
 
 def orthonormalize(a, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -1,15 +1,21 @@
 """Subspace minimization of the expansion ratios.
 
 Three strategies approximate the minimum over subspaces V with
-dim V <= floor(n/2):
+dim V <= floor(n/2); each is one function, and the estimate it returns names
+it (``ExpansionEstimate.strategy``):
 
-* ``coordinate-exhaustive`` — exact over subspaces spanned by canonical basis
-  vectors (recovers classical edge expansion on permutation tuples);
-* ``random-sample`` — Haar-random subspaces with prefix-nested substreams,
-  so larger sample counts only extend the candidate list;
-* ``riemannian`` — multi-restart projected-gradient descent on the manifold
-  of orthonormal n x k bases with backtracking line search and
-  re-orthonormalization as the retraction.
+* ``minimize_coordinate`` (``coordinate-exhaustive``) — exact over subspaces
+  spanned by canonical basis vectors (recovers classical edge expansion on
+  permutation tuples);
+* ``minimize_random`` (``random-sample``) — Haar-random subspaces with
+  prefix-nested substreams, so larger sample counts only extend the
+  candidate list;
+* ``minimize_riemannian`` (``riemannian``) — multi-restart projected-gradient
+  descent on the manifold of orthonormal n x k bases with backtracking line
+  search and re-orthonormalization as the retraction.
+
+``SearchConfig.k`` fixes the subspace dimension of the two continuous
+strategies; None sweeps every k = 1..floor(n/2).
 
 Every returned value is the exactly recomputable (unsmoothed) ratio at its
 witness; the search never reports an unattained value.
@@ -49,13 +55,10 @@ BACKTRACK = 0.5
 # would not fit (|W| = 12 at n = 24, d = 4: 25 GB)
 _BLOCK_ENTRIES = 1 << 13
 
-STRATEGIES = ("coordinate-exhaustive", "random-sample", "riemannian")
-
 
 @dataclass
 class SearchConfig:
-    strategy: str = "riemannian"
-    k: object = "all"  # target dimension, or "all" for the 1..floor(n/2) sweep
+    k: int | None = None  # target dimension, or None for the 1..floor(n/2) sweep
     samples: int = 100
     restarts: int = 8
     max_iters: int = 200
@@ -63,10 +66,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InvalidParameters(f"unknown strategy {self.strategy!r}")
-        if self.k != "all" and int(self.k) < 1:
-            raise InvalidParameters("k must be >= 1 or 'all'")
+        if self.k is not None and (
+            not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1
+        ):
+            raise InvalidParameters(f"k must be an integer >= 1 or None, got {self.k!r}")
         if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:
             raise InvalidParameters("counts must be >= 1")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
@@ -77,12 +80,11 @@ class SearchConfig:
     def dims(self, n: int) -> list:
         if n < 2:
             raise InvalidDimension(f"no admissible subspace dimension for n={n}")
-        if self.k == "all":
+        if self.k is None:
             return list(range(1, n // 2 + 1))
-        k = int(self.k)
-        if k > n // 2:
-            raise DimensionTooLarge(f"k={k} exceeds floor(n/2)={n // 2}")
-        return [k]
+        if self.k > n // 2:
+            raise DimensionTooLarge(f"k={self.k} exceeds floor(n/2)={n // 2}")
+        return [int(self.k)]
 
 
 @dataclass
@@ -154,8 +156,6 @@ def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Expans
     ``samples`` candidates of a larger run are identical to a smaller run, so
     the minimum is monotone in the sample count.
     """
-    if cfg.strategy != "random-sample":
-        raise InvalidParameters("config strategy must be 'random-sample'")
     p = _check_exponent(p)
     n = t.n
 
@@ -306,8 +306,6 @@ def _descend_subspace(t, q0, p, epsilon, max_iters, restart_tag):
 def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:
     """Multi-restart Riemannian descent; reports the unsmoothed ratio at the
     best final witness."""
-    if cfg.strategy != "riemannian":
-        raise InvalidParameters("config strategy must be 'riemannian'")
     p = _check_exponent(p)
     n = t.n
     iterations = 0
@@ -324,14 +322,3 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
         value=value, witness=witness, k=k, p=p, strategy="riemannian", iterations=iterations
     )
 
-
-def estimate_expansion(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:
-    """Overall minimum across the k = 1..floor(n/2) sweep for the configured
-    strategy (the coordinate strategy already sweeps every subset size)."""
-    if cfg.k != "all":
-        raise InvalidParameters(f"estimate_expansion sweeps every k; got k={cfg.k!r}")
-    if cfg.strategy == "coordinate-exhaustive":
-        return minimize_coordinate(t, p, mode="sp")
-    if cfg.strategy == "random-sample":
-        return minimize_random(t, p, cfg)
-    return minimize_riemannian(t, p, cfg)

@@ -22,7 +22,7 @@ from .embed import TARGET_LP, DistortionReport, VertexEmbedding
 from .errors import InvalidMatrix, InvalidParameters
 from .graphs import RegularGraph
 from .linalg import as_matrix
-from .search import ExpansionEstimate, SearchConfig
+from .search import ExpansionEstimate
 
 
 def matrix_to_json(m) -> dict:
@@ -156,14 +156,6 @@ def estimate_to_json(est: ExpansionEstimate) -> dict:
     if est.subset is not None:
         out["subset"] = [int(x) for x in est.subset]
     return out
-
-
-def search_config_from_json(obj) -> SearchConfig:
-    known = {f for f in SearchConfig.__dataclass_fields__}
-    bad = set(obj) - known
-    if bad:
-        raise InvalidParameters(f"unknown search config fields: {sorted(bad)}")
-    return SearchConfig(**obj)
 
 
 def dumps_canonical(obj) -> str:

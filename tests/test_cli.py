@@ -137,6 +137,39 @@ def test_expansion_infeasible_mode_strategy_combination(tmp_path, capsys):
         assert out == "" and "supports only the coordinate strategy" in err
 
 
+@pytest.mark.parametrize(
+    "strategy, name",
+    [("coordinate", "coordinate-exhaustive"), ("random", "random-sample"),
+     ("riemannian", "riemannian")],
+)
+def test_expansion_payload_names_the_strategy(strategy, name, tmp_path, capsys):
+    tup = tmp_path / "t.json"
+    run_cli(["gen", "unitary-tuple", "--n", "4", "--d", "2", "--out", str(tup), "--quiet"])
+    argv = ["expansion", str(tup), "--strategy", strategy, "--samples", "2", "--restarts", "1",
+            "--max-iters", "3"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["estimate"]["strategy"] == name
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["{tuple}", "--mode", "Q", "--epsilon", "nan"], "epsilon"),
+        (["{graph}", "--mode", "classical", "--p", "inf"], "--p"),
+        (["{tuple}", "--mode", "dim", "--p", "nan"], "--p"),
+    ],
+)
+def test_expansion_unused_non_finite_option_is_input_error(argv, option, tmp_path, capsys):
+    # every option lands in the manifest, whose JSON has no NaN or infinity
+    graph, tup = tmp_path / "c8.json", tmp_path / "t8.json"
+    run_cli(["gen", "cycle", "--n", "8", "--out", str(graph), "--quiet"])
+    run_cli(["gen", "permutation-tuple", "--n", "8", "--out", str(tup), "--quiet"])
+    argv = ["expansion"] + [a.format(graph=graph, tuple=tup) for a in argv]
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and option in err
+
+
 def test_expansion_missing_file_is_input_error(tmp_path):
     assert run_cli(["expansion", str(tmp_path / "nope.json"), "--quiet"]) == 2
 

@@ -20,7 +20,7 @@ from spexp import (
     sp_expansion_estimate,
 )
 from spexp.embed import TARGET_LP, TARGET_SP
-from spexp.errors import DegenerateEmbedding, ShapeMismatch
+from spexp.errors import DegenerateEmbedding, InvalidExponent, ShapeMismatch
 
 
 def _random_lp_embedding(rng, n, m, p):
@@ -134,6 +134,12 @@ def test_lp_estimate_k5_constant():
     for p in (1.0, 2.0, 3.0):
         est = lp_expansion_estimate(build_complete(5), p, 3, FAST)
         assert est.value == pytest.approx((5.0 / 4.0) ** (1.0 / p), abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_lp_estimate_rejects_bad_exponent(p):
+    with pytest.raises(InvalidExponent):
+        lp_expansion_estimate(build_cycle(4), p, 2, FAST)
 
 
 def test_lp_estimate_never_beats_oracles():

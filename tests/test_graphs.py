@@ -20,6 +20,7 @@ from spexp.errors import (
     DisconnectedGraph,
     InstanceTooLarge,
     InvalidDimension,
+    InvalidExponent,
     InvalidParameters,
     NotRegular,
 )
@@ -203,6 +204,16 @@ def test_metric_ratio_complete_any_p():
     rho = shortest_path_metric(g)
     for p in (1.0, 2.0, 3.0):
         assert metric_ratio(g, rho, p) == pytest.approx((4.0 / 3.0) ** (1.0 / p), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, float("nan"), float("inf")])
+def test_metric_ratio_rejects_bad_exponent(p):
+    g = build_cycle(6)
+    rho = shortest_path_metric(g)
+    with pytest.raises(InvalidExponent):
+        metric_ratio_parts(g, rho, p)
+    with pytest.raises(InvalidExponent):
+        metric_ratio(g, rho, p)
 
 
 def test_cut_oracle_values():

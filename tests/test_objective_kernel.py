@@ -87,7 +87,6 @@ def test_gradient_exact_off_manifold(t, exponent, data):
 @given(tuples(4, 24, 3), st.floats(1.0, 4.0), st.data())
 def test_riemannian_value_is_ratio_at_witness(t, p, data):
     cfg = SearchConfig(
-        strategy="riemannian",
         k=data.draw(st.integers(1, t.n // 2)),
         restarts=2,
         max_iters=10,

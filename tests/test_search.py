@@ -8,7 +8,6 @@ from spexp import (
     SearchConfig,
     build_cycle,
     Subspace,
-    estimate_expansion,
     expansion_ratio_sp,
     minimize_coordinate,
     minimize_random,
@@ -69,14 +68,14 @@ def test_coordinate_witness_recompute():
 
 
 def test_random_identity_tuple_zero():
-    cfg = SearchConfig(strategy="random-sample", k=2, samples=10, seed=1)
+    cfg = SearchConfig(k=2, samples=10, seed=1)
     est = minimize_random(identity_tuple(6, 2), 2.0, cfg)
     assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_random_witness_consistency():
     t = cycle_tuple(4)
-    cfg = SearchConfig(strategy="random-sample", k=2, samples=50, seed=3)
+    cfg = SearchConfig(k=2, samples=50, seed=3)
     est = minimize_random(t, 2.0, cfg)
     assert est.value >= 0.0
     recomputed = expansion_ratio_sp(t, est.witness, 2.0).value
@@ -85,8 +84,8 @@ def test_random_witness_consistency():
 
 def test_random_prefix_nested_sampling_monotone():
     t = random_unitary_tuple(8, 2, seed=6)
-    small = SearchConfig(strategy="random-sample", k=2, samples=100, seed=9)
-    large = SearchConfig(strategy="random-sample", k=2, samples=1000, seed=9)
+    small = SearchConfig(k=2, samples=100, seed=9)
+    large = SearchConfig(k=2, samples=1000, seed=9)
     v_small = minimize_random(t, 2.0, small).value
     v_large = minimize_random(t, 2.0, large).value
     assert v_large <= v_small
@@ -94,7 +93,7 @@ def test_random_prefix_nested_sampling_monotone():
 
 def test_random_determinism():
     t = random_unitary_tuple(6, 3, seed=0)
-    cfg = SearchConfig(strategy="random-sample", k="all", samples=25, seed=11)
+    cfg = SearchConfig(samples=25, seed=11)
     a = minimize_random(t, 1.5, cfg)
     b = minimize_random(t, 1.5, cfg)
     assert a.value == b.value
@@ -156,13 +155,13 @@ def test_gradient_matches_finite_differences_p15():
 
 
 def test_riemannian_identity_tuple_zero():
-    cfg = SearchConfig(strategy="riemannian", k=2, restarts=2, max_iters=50, seed=5)
+    cfg = SearchConfig(k=2, restarts=2, max_iters=50, seed=5)
     est = minimize_riemannian(identity_tuple(6, 2), 2.0, cfg)
     assert est.value <= 1e-9
 
 
 def test_riemannian_cycle_beats_coordinate_witness():
-    cfg = SearchConfig(strategy="riemannian", k=2, restarts=8, max_iters=150, seed=6)
+    cfg = SearchConfig(k=2, restarts=8, max_iters=150, seed=6)
     est = minimize_riemannian(cycle_tuple(4), 2.0, cfg)
     assert est.value <= 0.5 + 1e-6
 
@@ -202,7 +201,7 @@ def test_descent_traces_nonincreasing(objective, max_iters):
 
 
 def test_riemannian_witness_recompute():
-    cfg = SearchConfig(strategy="riemannian", k=2, restarts=3, max_iters=80, seed=9)
+    cfg = SearchConfig(k=2, restarts=3, max_iters=80, seed=9)
     t = random_unitary_tuple(6, 2, seed=20)
     est = minimize_riemannian(t, 1.5, cfg)
     recomputed = expansion_ratio_sp(t, est.witness, 1.5).value
@@ -210,30 +209,24 @@ def test_riemannian_witness_recompute():
 
 
 def test_estimate_expansion_dispatch():
+    # each strategy is the function called; the default k=None sweeps every k
     t = cycle_tuple(8)
-    coord_cfg = SearchConfig(strategy="coordinate-exhaustive", seed=0)
-    est = estimate_expansion(t, 2.0, coord_cfg)
+    est = minimize_coordinate(t, 2.0, mode="sp")
     assert est.value == pytest.approx(0.25, abs=0)
 
-    riem_cfg = SearchConfig(strategy="riemannian", restarts=16, max_iters=120, seed=1)
-    est_r = estimate_expansion(t, 2.0, riem_cfg)
+    riem_cfg = SearchConfig(restarts=16, max_iters=120, seed=1)
+    est_r = minimize_riemannian(t, 2.0, riem_cfg)
     assert est_r.value <= 0.25 + 1e-6
 
-    ident = estimate_expansion(identity_tuple(4, 2), 2.0, SearchConfig(strategy="random-sample", samples=5, seed=0))
+    ident = minimize_random(identity_tuple(4, 2), 2.0, SearchConfig(samples=5, seed=0))
     assert ident.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_estimate_expansion_rejects_fixed_k():
-    cfg = SearchConfig(strategy="random-sample", k=2, samples=5, seed=0)
-    with pytest.raises(InvalidParameters):
-        estimate_expansion(cycle_tuple(8), 2.0, cfg)
 
 
 def test_transfer_inequalities_over_shared_candidates_random():
     # both minimize over the identical candidate list (same seed/samples), so
     # the per-subspace norm comparisons transfer to the minima
     t = random_unitary_tuple(8, 3, seed=41)
-    cfg = SearchConfig(strategy="random-sample", k="all", samples=40, seed=5)
+    cfg = SearchConfig(samples=40, seed=5)
     for p_exp, q_exp in ((4.0, 2.0), (3.0, 1.5), (2.0, 1.0)):
         est_p = minimize_random(t, p_exp, cfg).value
         est_q = minimize_random(t, q_exp, cfg).value
@@ -251,8 +244,13 @@ def test_transfer_inequalities_over_shared_candidates_coordinate():
 
 
 def test_search_config_validation():
-    with pytest.raises(InvalidParameters):
-        SearchConfig(strategy="nope")
+    for k in (0, -1, "all", "2", 2.5, True):
+        with pytest.raises(InvalidParameters):
+            SearchConfig(k=k)
+    assert SearchConfig().dims(7) == [1, 2, 3]
+    assert SearchConfig(k=None).dims(6) == [1, 2, 3]
+    assert SearchConfig(k=2).dims(6) == [2]
+    assert SearchConfig(k=np.int64(3)).dims(6) == [3]
     with pytest.raises(InvalidParameters):
         SearchConfig(samples=0)
     for epsilon in (-1.0, float("nan"), float("inf")):
@@ -262,7 +260,7 @@ def test_search_config_validation():
 
 def test_riemannian_determinism():
     t = random_unitary_tuple(6, 2, seed=33)
-    cfg = SearchConfig(strategy="riemannian", k=2, restarts=3, max_iters=60, seed=12)
+    cfg = SearchConfig(k=2, restarts=3, max_iters=60, seed=12)
     a = minimize_riemannian(t, 2.0, cfg)
     b = minimize_riemannian(t, 2.0, cfg)
     assert a.value == b.value

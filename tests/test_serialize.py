@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spexp import (
-    SearchConfig,
     Subspace,
     VertexEmbedding,
     build_hypercube,
@@ -24,7 +23,6 @@ from spexp.serialize import (
     matrix_to_json,
     permutations_from_json,
     permutations_to_json,
-    search_config_from_json,
     tuple_from_json,
     tuple_to_json,
 )
@@ -94,14 +92,6 @@ def test_estimate_serialization_includes_witness_basis():
     np.testing.assert_array_equal(basis, est.witness.basis)
     v = Subspace(basis)
     assert v.k == 4
-
-
-def test_search_config_roundtrip_and_unknown_fields():
-    cfg = search_config_from_json({"strategy": "random-sample", "samples": 9, "seed": 4})
-    assert isinstance(cfg, SearchConfig)
-    assert cfg.samples == 9
-    with pytest.raises(InvalidParameters):
-        search_config_from_json({"strategy": "riemannian", "bogus": 1})
 
 
 def test_dumps_canonical_is_stable():
