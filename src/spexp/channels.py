@@ -62,6 +62,15 @@ class BistochasticTuple:
         return self.matrices.shape[0]
 
 
+def check_orthonormal(q: np.ndarray):
+    """Raise InvalidMatrix unless each n x k basis of a (..., n, k) stack has
+    ||Q*Q - Id||_F <= ORTHONORMAL_TOL * max(1, sqrt(k))."""
+    k = q.shape[-1]
+    dev = q.conj().swapaxes(-1, -2) @ q - np.eye(k)
+    if max(map(np.linalg.norm, dev.reshape(-1, k, k))) > ORTHONORMAL_TOL * max(1.0, np.sqrt(k)):
+        raise InvalidMatrix("basis columns are not orthonormal")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of C^n held as an n x k orthonormal basis."""
@@ -75,9 +84,7 @@ class Subspace:
             raise InvalidDimension("subspace dimension must be >= 1")
         if k > n:
             raise InvalidDimension(f"subspace dimension {k} exceeds ambient {n}")
-        gram = q.conj().T @ q
-        if np.linalg.norm(gram - np.eye(k)) > ORTHONORMAL_TOL * max(1.0, np.sqrt(k)):
-            raise InvalidMatrix("basis columns are not orthonormal")
+        check_orthonormal(q)
         q.setflags(write=False)
         object.__setattr__(self, "basis", q)
 
@@ -180,9 +187,16 @@ def restriction_singular_values(b, v: Subspace) -> np.ndarray:
         raise InvalidMatrix(f"restriction input must be finite and 2-D or 3-D, got ndim={bm.ndim}")
     if bm.shape[-2:] != (v.n, v.n):
         raise ShapeMismatch(f"matrix must be {v.n}x{v.n}, got {bm.shape}")
-    q = v.basis
-    row = q.conj().T @ bm
-    row = row - (row @ q) @ q.conj().T
+    return restriction_spectra(bm, v.basis)
+
+
+def restriction_spectra(b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Singular values of Q* B (Id - QQ*) for a (..., n, n) stack of matrices
+    and a stack of n x k bases that broadcasts against it, unchecked; each
+    matrix pair gets the bits it gets alone."""
+    qh = np.swapaxes(q.conj(), -1, -2)
+    row = qh @ b
+    row = row - (row @ q) @ qh
     return np.linalg.svd(row, compute_uv=False)
 
 

@@ -7,8 +7,8 @@ option of the subcommand except --seed, --out, --quiet and --csv, by its
 argparse dest, with unset (None) options left out. So gen manifests carry
 ``directed`` and ``no_loops`` too. Wall-clock duration goes to stderr so
 reruns with the same manifest produce byte-identical payloads. Exit codes:
-0 success, 2 input error, 3 infeasible configuration, 4 numerical failure.
-SPEXP_THREADS caps internal parallelism.
+0 success, 1 verify found failing inequalities, 2 input error, 3 infeasible
+configuration, 4 numerical failure.
 """
 
 from __future__ import annotations

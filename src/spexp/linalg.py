@@ -116,12 +116,29 @@ def haar_isometry(n: int, k: int, seed) -> np.ndarray:
         raise InvalidDimension(f"isometry dims must be >= 1, got n={n}, k={k}")
     if k > n:
         raise InvalidDimension(f"need k <= n, got k={k}, n={n}")
-    rng = as_rng(seed)
-    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
+    return _phase_fixed_qr(_ginibre(as_rng(seed), (n, k)))
+
+
+def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussian (..., n, k) stack. Each n x k matrix draws its
+    real part, then its imaginary part, in stack order, so a stack of m
+    matrices consumes the stream as m single draws would."""
+    g = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
+    z /= np.sqrt(2.0)
+    return z
+
+
+def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Q factor of each n x k matrix of a (..., n, k) stack, each column
+    multiplied by the phase of its R-diagonal entry; one batched QR, with
+    the bits of a QR per matrix."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) == 0] = 1.0  # zero pivots occur with probability zero
-    return q * (d / np.abs(d))
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def orthonormalize(a, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -4,38 +4,56 @@ Each checker evaluates one theorem-backed inequality pointwise at a concrete
 (tuple, subspace) pair and reports lhs, rhs and the slack rhs - lhs; a pass is
 slack >= -tol. The four inequalities are functions of one restriction
 spectrum: a checker takes the (d, k) singular values
-``restriction_singular_values(t.matrices, v)`` (row i for B_i), and the sweep
-computes that spectrum once per instance. Because the inequalities are
-theorems for valid bistochastic tuples, a failing instance indicates an
-implementation bug and the full instance is serialized for replay.
+``restriction_singular_values(t.matrices, v)`` (row i for B_i). Because the
+inequalities are theorems for valid bistochastic tuples, a failing instance
+indicates an implementation bug and the full instance is serialized for
+replay.
+
+The sweep works in blocks of consecutive instances, at most BLOCK_ENTRIES
+complex Ginibre entries each (a larger instance is a block of its own). A
+block draws every instance from its substream first, then runs one
+phase-fixed QR per shape (the n x n unitaries of equal n, the n x k
+isometries of equal (n, k)) and one restriction spectrum per (n, d, k), and
+calls the checkers on each instance in order. Every unitary, basis and
+spectrum has the bits of the instance drawn alone, so the report depends
+neither on the block cap nor on the grouping.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# expansion_ratio_sp and expansion_ratio_dim are not called here; they stay
-# bound in this module because bench/tracing.py wraps them by attribute.
+# haar_unitary, haar_isometry, expansion_ratio_sp, expansion_ratio_dim and
+# restriction_singular_values are not called here; they stay bound in this
+# module because bench/tracing.py wraps them by attribute.
 from .channels import (  # noqa: F401
     RANK_TOL,
     BistochasticTuple,
     Subspace,
+    check_orthonormal,
     expansion_ratio_dim,
     expansion_ratio_sp,
     rank_numerator,
     restriction_singular_values,
+    restriction_spectra,
     sp_numerator,
 )
 from .errors import InstanceTooLarge, InvalidExponentOrder, InvalidMatrix, InvalidParameters
-from .linalg import _check_exponent, haar_isometry, haar_unitary, substream
+from .linalg import (  # noqa: F401
+    _check_exponent,
+    _ginibre,
+    _phase_fixed_qr,
+    haar_isometry,
+    haar_unitary,
+    substream,
+)
 
 RATIO_TOL = 1e-9
 SINGULAR_TOL = 1e-8
 MAX_TUPLE_BYTES = 1 << 30
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -139,7 +157,9 @@ class SweepConfig:
             raise InstanceTooLarge(f"a d={d_max}, n={n_max} tuple exceeds {MAX_TUPLE_BYTES} bytes")
 
 
-def _draw_instance(cfg: SweepConfig, index: int):
+def _draw(cfg: SweepConfig, index: int):
+    """Descriptor and Ginibre draws of one instance: the d n x n unitary
+    draws, then the n x k isometry draw."""
     rng = substream(cfg.seed, index)
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
@@ -147,17 +167,91 @@ def _draw_instance(cfg: SweepConfig, index: int):
     lo, hi = cfg.p_range
     a, b = rng.uniform(lo, hi, size=2)
     p, q = float(max(a, b)), float(min(a, b))
-    t = BistochasticTuple(tuple(haar_unitary(n, rng) for _ in range(d)))
-    v = Subspace(haar_isometry(n, k, rng))
     descriptor = {"index": index, "n": n, "d": d, "k": k, "p": p, "q": q, "seed": cfg.seed}
-    return t, v, p, q, descriptor
+    return descriptor, _ginibre(rng, (d, n, n)), _ginibre(rng, (n, k))
 
 
-def _run_instance(cfg: SweepConfig, index: int):
-    t, v, p, q, desc = _draw_instance(cfg, index)
-    # the kernel and the checkers are called through module globals, so a
-    # wrapper installed on one (bench/tracing.py) sees every call
-    s = restriction_singular_values(t.matrices, v)
+def _draw_instance(cfg: SweepConfig, index: int):
+    """Instance ``index`` alone, bit-identical to the one the sweep checks."""
+    desc, z, w = _draw(cfg, index)
+    t = BistochasticTuple(_phase_fixed_qr(z))
+    v = Subspace(_phase_fixed_qr(w))
+    return t, v, desc["p"], desc["q"], desc
+
+
+def _groups(keys) -> dict:
+    """key -> positions holding it, both in first-seen order."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise InvalidMatrix("a drawn instance contains NaN or Inf entries")
+    return x
+
+
+def _spectra(block: list) -> list:
+    """The (d, k) restriction spectrum of each (descriptor, unitary draws,
+    isometry draw) of a block: one QR per shape, one spectrum per (n, d, k)."""
+    descs = [desc for desc, _, _ in block]
+    bases = [None] * len(block)
+    for members in _groups((desc["n"], desc["k"]) for desc in descs).values():
+        v = _finite(_phase_fixed_qr(np.stack([block[i][2] for i in members])))
+        check_orthonormal(v)
+        for i, basis in zip(members, v):
+            bases[i] = basis
+    spectra = [None] * len(block)
+    for n, by_n in _groups(desc["n"] for desc in descs).items():
+        # the unitaries of one (d, k) lie next to each other in the n group
+        shapes = [
+            (d, [by_n[j] for j in js])
+            for (d, _), js in _groups((descs[i]["d"], descs[i]["k"]) for i in by_n).items()
+        ]
+        draws = [block[i][1] for _, members in shapes for i in members]
+        u = np.concatenate(draws) if len(draws) > 1 else draws[0]
+        # QR in place, at most BLOCK_ENTRIES entries (or one matrix) a call, so
+        # the workspace of a large instance stays small
+        step = max(1, BLOCK_ENTRIES // (n * n))
+        for a in range(0, len(u), step):
+            u[a : a + step] = _phase_fixed_qr(u[a : a + step])
+        _finite(u)
+        start = 0
+        for d, members in shapes:
+            stop = start + d * len(members)
+            s = restriction_spectra(
+                u[start:stop].reshape(len(members), d, n, n),
+                np.stack([bases[i] for i in members])[:, None],
+            )
+            start = stop
+            for i, row in zip(members, s):
+                spectra[i] = row
+    return spectra
+
+
+def _blocks(cfg: SweepConfig):
+    """Consecutive drawn instances, at most BLOCK_ENTRIES entries a block
+    unless one instance alone holds more."""
+    block, entries = [], 0
+    for index in range(cfg.instances):
+        drawn = _draw(cfg, index)
+        size = drawn[1].size + drawn[2].size
+        if block and entries + size > BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(drawn)
+        entries += size
+    if block:
+        yield block
+
+
+def _check_instance(desc: dict, s: np.ndarray) -> list:
+    """The four checker reports of one instance's (d, k) spectrum. The
+    checkers are called through module globals, so a wrapper installed on
+    one (bench/tracing.py) sees every call."""
+    p, q = desc["p"], desc["q"]
     return [
         check_ratio_scaling(s, p, q, instance=desc),
         check_ratio_power(s, p, q, instance=desc),
@@ -181,37 +275,24 @@ def _serialize_failure(cfg: SweepConfig, report: InequalityReport) -> dict:
     }
 
 
-def sweep(cfg: SweepConfig, workers: int | None = None) -> dict:
-    """Run every checker over the generated instance set.
-
-    Instances are independent; with workers > 1 they are evaluated in a
-    thread pool and aggregated in instance order, so the report is identical
-    regardless of SPEXP_THREADS.
-    """
-    if workers is None:
-        raw = os.environ.get("SPEXP_THREADS", "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InvalidParameters(f"SPEXP_THREADS must be an integer, got {raw!r}") from None
-    indices = list(range(cfg.instances))
-    if workers > 1 and indices:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(lambda i: _run_instance(cfg, i), indices))
-    else:
-        per_instance = [_run_instance(cfg, i) for i in indices]
+def sweep(cfg: SweepConfig) -> dict:
+    """Run every checker over the generated instance set, in instance order."""
+    reports = {name: [] for name in CHECKERS}
+    for block in _blocks(cfg):
+        for (desc, _, _), s in zip(block, _spectra(block)):
+            for r in _check_instance(desc, s):
+                reports[r.checker].append(r)
 
     checker_rows = []
     total_failures = 0
     for name in CHECKERS:
-        reports = [r for reports in per_instance for r in reports if r.checker == name]
-        failures = [r for r in reports if not r.passed]
+        failures = [r for r in reports[name] if not r.passed]
         total_failures += len(failures)
-        worst = min((r.slack for r in reports), default=None)
+        worst = min((r.slack for r in reports[name]), default=None)
         checker_rows.append(
             {
                 "checker": name,
-                "total": len(reports),
+                "total": len(reports[name]),
                 "failures": len(failures),
                 "worst_slack": worst,
                 "failing_instances": [_serialize_failure(cfg, r) for r in failures],

@@ -50,7 +50,7 @@ def _line(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def inequality_sweep():
     started = time.perf_counter()
-    report = sweep(SweepConfig(instances=1000, seed=2026), workers=1)
+    report = sweep(SweepConfig(instances=1000, seed=2026))
     elapsed = time.perf_counter() - started
     return report, elapsed
 

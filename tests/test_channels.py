@@ -26,6 +26,7 @@ from spexp.errors import (
     InvalidPermutation,
     ShapeMismatch,
 )
+from spexp.channels import check_orthonormal
 from spexp.linalg import haar_isometry, haar_unitary
 
 from util import coord, cycle_tuple, identity_tuple, shift_matrix
@@ -245,6 +246,14 @@ def test_random_unitary_tuple_scalars_and_reproducibility():
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(InvalidMatrix):
         Subspace(np.array([[1.0], [1.0]]))
+
+
+def test_check_orthonormal_checks_every_basis_of_a_stack():
+    stack = np.stack([haar_isometry(6, 2, seed) for seed in range(4)])
+    check_orthonormal(stack)
+    stack[2, 0, 0] += 1e-6
+    with pytest.raises(InvalidMatrix):
+        check_orthonormal(stack)
 
 
 # --- invariants -------------------------------------------------------------

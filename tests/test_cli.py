@@ -258,12 +258,6 @@ def test_verify_oversized_range_is_infeasible(huge, capsys):
     assert out == "" and "infeasible configuration" in err
 
 
-def test_verify_non_integer_threads_is_input_error(monkeypatch, capsys):
-    monkeypatch.setenv("SPEXP_THREADS", "abc")
-    assert run_cli(["verify", "--instances", "3", "--quiet"]) == 2
-    assert "SPEXP_THREADS" in capsys.readouterr().err
-
-
 def test_verify_byte_identical_across_threads(tmp_path):
     env = dict(os.environ)
     outputs = []

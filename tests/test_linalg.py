@@ -12,6 +12,7 @@ from spexp import (
     svd,
 )
 from spexp.errors import InvalidDimension, InvalidExponent, InvalidMatrix, RankDeficient
+from spexp.linalg import haar_isometry
 
 from util import random_complex
 
@@ -120,6 +121,30 @@ def test_haar_unitary_deterministic_and_distinct():
         u1 = haar_unitary(6, seed=s)
         u2 = haar_unitary(6, seed=s + 1000)
         assert np.linalg.norm(u1 - u2) > 0.1
+
+
+def single_qr_isometry(n, k, seed):
+    """Haar isometry with one 2-D QR per draw, the pre-batching code."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[np.abs(d) == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+def test_haar_bits_match_single_qr(n):
+    for k in sorted({1, max(1, n // 2), n}):
+        for seed in (0, 7, 2**40):
+            assert haar_isometry(n, k, seed).tobytes() == single_qr_isometry(n, k, seed).tobytes()
+        # a shared Generator is consumed draw after draw, as before
+        mine, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            assert haar_isometry(n, k, mine).tobytes() == single_qr_isometry(n, k, ref).tobytes()
+    for seed in (3, np.random.default_rng(3)):
+        twin = seed if isinstance(seed, int) else np.random.default_rng(3)
+        assert haar_unitary(n, seed).tobytes() == single_qr_isometry(n, n, twin).tobytes()
 
 
 def test_haar_unitary_rejects_zero_dimension():

@@ -87,7 +87,9 @@ def _fields(reports):
 def test_sweep_instance_reports_equal_reference_checkers(seed, index):
     cfg = SweepConfig(instances=index + 1, seed=seed)
     t, v, p, q, _ = verify._draw_instance(cfg, index)
-    assert _fields(verify._run_instance(cfg, index)) == reference_checks(t, v, p, q)
+    drawn = verify._draw(cfg, index)
+    [s] = verify._spectra([drawn])
+    assert _fields(verify._check_instance(drawn[0], s)) == reference_checks(t, v, p, q)
 
 
 @SETTINGS

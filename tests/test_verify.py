@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spexp import (
     SweepConfig,
@@ -23,7 +24,7 @@ from spexp.serialize import dumps_canonical, matrix_from_json, tuple_from_json
 from spexp.channels import Subspace, expansion_ratio_sp, restriction_singular_values
 from spexp.verify import CHECKERS, MAX_TUPLE_BYTES
 
-from util import coord, cycle_tuple, identity_tuple
+from util import coord, cycle_tuple, identity_tuple, reference_sweep
 
 
 def spectrum(t, v):
@@ -125,11 +126,84 @@ def test_sweep_small_run_all_pass():
         assert row["failing_instances"] == []
 
 
-def test_sweep_deterministic_bytes():
+def test_sweep_deterministic_bytes(monkeypatch):
+    # the report is the same with one block, a block per instance, and blocks
+    # of unequal length that split an n group between two blocks
+    from spexp import verify as verify_mod
+
     cfg = SweepConfig(instances=40, seed=3)
-    a = dumps_canonical(sweep(cfg, workers=1))
-    b = dumps_canonical(sweep(cfg, workers=4))
-    assert a == b
+    a = dumps_canonical(sweep(cfg))
+    assert len(list(verify_mod._blocks(cfg))) == 1
+    for budget in (1, 700):
+        monkeypatch.setattr(verify_mod, "BLOCK_ENTRIES", budget)
+        blocks = [{desc["n"] for desc, _, _ in block} for block in verify_mod._blocks(cfg)]
+        if budget == 1:
+            assert len(blocks) == 40
+        else:
+            assert 1 < len(blocks) < 40 and any(x & y for x, y in zip(blocks, blocks[1:]))
+        assert dumps_canonical(sweep(cfg)) == a
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(instances=0, seed=1),
+        SweepConfig(instances=25, seed=2, n_range=(2, 2), d_range=(1, 4)),
+        SweepConfig(instances=25, seed=3, n_range=(2, 9), d_range=(1, 1)),
+        SweepConfig(instances=25, seed=4, p_range=(2.5, 2.5)),
+        SweepConfig(instances=25, seed=5, n_range=(2, 2), d_range=(1, 1), p_range=(1.0, 1.0)),
+        SweepConfig(instances=60, seed=6, n_range=(2, 24), d_range=(1, 5)),
+        SweepConfig(instances=120, seed=7),
+    ],
+    ids=["empty", "n2", "d1", "p-point", "smallest", "wide", "default"],
+)
+def test_sweep_matches_reference_oracle(cfg):
+    assert dumps_canonical(sweep(cfg)) == dumps_canonical(reference_sweep(cfg))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    instances=st.integers(0, 30),
+    n=st.tuples(st.integers(2, 24), st.integers(0, 6)),
+    d=st.tuples(st.integers(1, 5), st.integers(0, 3)),
+    p=st.tuples(st.floats(1.0, 6.0), st.floats(0.0, 3.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_sweep_matches_reference_oracle_on_random_ranges(instances, n, d, p, seed):
+    cfg = SweepConfig(
+        instances=instances,
+        n_range=(n[0], min(n[0] + n[1], 24)),
+        d_range=(d[0], d[0] + d[1]),
+        p_range=(p[0], p[0] + p[1]),
+        seed=seed,
+    )
+    assert dumps_canonical(sweep(cfg)) == dumps_canonical(reference_sweep(cfg))
+
+
+def test_sweep_failure_path_serializes_and_replays(monkeypatch, capsys):
+    # a hostile tolerance fails ratio_scaling on every instance; the checkers
+    # are looked up on spexp.verify at call time, so the sweep sees the patch
+    from spexp import verify as verify_mod
+    from spexp.cli import main
+
+    real = verify_mod.check_ratio_scaling
+    monkeypatch.setattr(
+        verify_mod, "check_ratio_scaling", lambda s, p, q, **kw: real(s, p, q, tol=-10.0, **kw)
+    )
+    cfg = SweepConfig(instances=6, seed=13)
+    report = sweep(cfg)
+    row = report["checkers"][CHECKERS.index("ratio_scaling")]
+    assert report["failures_total"] == row["failures"] == 6
+    assert [f["descriptor"]["index"] for f in row["failing_instances"]] == list(range(6))
+    for frozen in row["failing_instances"]:
+        t2 = tuple_from_json(frozen["tuple"])
+        v2 = Subspace(matrix_from_json(frozen["subspace_basis"]))
+        lhs = expansion_ratio_sp(t2, v2, frozen["descriptor"]["p"]).value
+        assert lhs == pytest.approx(frozen["lhs"], rel=1e-12)
+    # the replayed tuples are the bits the sweep checked
+    assert dumps_canonical(report) == dumps_canonical(reference_sweep(cfg))
+    assert main(["verify", "--instances", "6", "--seed", "13", "--quiet"]) == 1
+    capsys.readouterr()
 
 
 def test_sweep_failure_serialization_is_replayable():

@@ -7,9 +7,12 @@ from itertools import combinations
 import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
-from spexp.channels import RANK_TOL
+from spexp import verify
+from spexp.channels import RANK_TOL, restriction_singular_values
 from spexp.embed import TARGET_LP
-from spexp.verify import RATIO_TOL, SINGULAR_TOL
+from spexp.linalg import haar_isometry, haar_unitary, substream
+from spexp.serialize import matrix_to_json, tuple_to_json
+from spexp.verify import CHECKERS, RATIO_TOL, SINGULAR_TOL
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -195,6 +198,75 @@ def reference_checks(t, v, p, q, rank_tol: float = RANK_TOL):
     }
     return {
         name: (lhs, rhs, rhs - lhs, rhs - lhs >= -tol) for name, (lhs, rhs, tol) in rows.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reference verify sweep: each instance drawn alone (one single-matrix QR per
+# Haar draw), one spectrum per instance, then the four checkers, as the sweep
+# ran before it grouped instances by shape. The checkers are looked up on
+# spexp.verify at call time, so a patched checker is seen here too.
+# ---------------------------------------------------------------------------
+
+
+def reference_draw_instance(cfg, index):
+    rng = substream(cfg.seed, index)
+    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+    d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
+    k = int(rng.integers(1, n // 2 + 1))
+    lo, hi = cfg.p_range
+    a, b = rng.uniform(lo, hi, size=2)
+    p, q = float(max(a, b)), float(min(a, b))
+    t = BistochasticTuple(tuple(haar_unitary(n, rng) for _ in range(d)))
+    v = Subspace(haar_isometry(n, k, rng))
+    descriptor = {"index": index, "n": n, "d": d, "k": k, "p": p, "q": q, "seed": cfg.seed}
+    return t, v, p, q, descriptor
+
+
+def reference_sweep(cfg) -> dict:
+    """The report of ``spexp.verify.sweep(cfg)``, one instance at a time."""
+    per_instance = []
+    for index in range(cfg.instances):
+        t, v, p, q, desc = reference_draw_instance(cfg, index)
+        s = restriction_singular_values(t.matrices, v)
+        per_instance.append((t, v, [
+            verify.check_ratio_scaling(s, p, q, instance=desc),
+            verify.check_ratio_power(s, p, q, instance=desc),
+            verify.check_singular_bound(s, instance=desc),
+            verify.check_rank_relation(s, p, instance=desc),
+        ]))
+    rows = []
+    for name in CHECKERS:
+        mine = [(t, v, r) for t, v, reports in per_instance for r in reports if r.checker == name]
+        failing = [
+            {
+                "descriptor": r.instance,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "slack": r.slack,
+                "tuple": tuple_to_json(t),
+                "subspace_basis": matrix_to_json(v.basis),
+            }
+            for t, v, r in mine
+            if not r.passed
+        ]
+        rows.append({
+            "checker": name,
+            "total": len(mine),
+            "failures": len(failing),
+            "worst_slack": min((r.slack for _, _, r in mine), default=None),
+            "failing_instances": failing,
+        })
+    failures = sum(row["failures"] for row in rows)
+    return {
+        "instances": cfg.instances,
+        "seed": cfg.seed,
+        "n_range": list(cfg.n_range),
+        "d_range": list(cfg.d_range),
+        "p_range": list(cfg.p_range),
+        "failures_total": failures,
+        "all_pass": failures == 0,
+        "checkers": rows,
     }
 
 
