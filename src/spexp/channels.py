@@ -212,11 +212,16 @@ def rank_numerator(s, rank_tol: float):
     """Number of entries of each (d, r) spectrum of a (..., d, r) stack above
     ``rank_tol * sqrt(d)`` (a restriction's singular values are bounded by
     sqrt(d)). A (d, r) spectrum gives an int, a stack an array."""
+    count = np.count_nonzero(s > _rank_threshold(rank_tol, s.shape[-2]), axis=(-2, -1))
+    return int(count) if s.ndim == 2 else count
+
+
+def _rank_threshold(rank_tol: float, d: int) -> float:
+    """rank_tol * sqrt(d), the level above which a singular value counts."""
     rank_tol = float(rank_tol)
     if not (np.isfinite(rank_tol) and rank_tol >= 0):
         raise InvalidParameters(f"rank_tol must be finite and >= 0, got {rank_tol}")
-    count = np.count_nonzero(s > rank_tol * np.sqrt(s.shape[-2]), axis=(-2, -1))
-    return int(count) if s.ndim == 2 else count
+    return rank_tol * np.sqrt(d)
 
 
 def _check_pair(t: BistochasticTuple, v: Subspace):

@@ -31,6 +31,7 @@ from .channels import (
     RANK_TOL,
     BistochasticTuple,
     Subspace,
+    _rank_threshold,
     expansion_ratio_sp,
     rank_numerator,
     sp_numerator,
@@ -106,23 +107,36 @@ def minimize_coordinate(
 ) -> ExpansionEstimate:
     """Exact minimum over coordinate subspaces with 1 <= |W| <= floor(n/2).
 
-    On permutation tuples (modes sp and Q) this equals the multigraph's edge
+    On permutation tuples (every mode) this equals the multigraph's edge
     expansion. The restriction of B to a coordinate projector pair is the
-    B[W, complement] block: mode Q sums its squared entries (the subset
-    kernel's boundary), modes sp and dim take its singular values, with one
-    batched SVD per subset size in blocks of at most _BLOCK_ENTRIES complex
-    entries (LAPACK decomposes each matrix of a block on its own, so the
-    values do not depend on the blocking). Each ratio is one division by
-    d |W|, so integer counts compare exactly as in cut_oracle_l1; ties go to
-    the lexicographically smallest vertex subset.
+    B[W, complement] block. Mode Q sums its squared entries, the subset
+    kernel's boundary of the summed |B_i|^2. When every B_i is a 0/1 partial
+    permutation (entries of absolute value 0 or 1, at most one nonzero per
+    row and per column), each block's nonzero singular values are its ones,
+    so modes sp and dim count them on the same kernel: the weight leaving W,
+    which is the weight entering W of the transposed count matrix. Any other
+    tuple takes the singular values of each block, with one batched SVD per
+    subset size in blocks of at most _BLOCK_ENTRIES complex entries (LAPACK
+    decomposes each matrix of a block on its own, so the values do not
+    depend on the blocking). Each ratio is one division by d |W|, so integer
+    counts compare exactly as in cut_oracle_l1; ties go to the
+    lexicographically smallest vertex subset.
     """
     if mode not in ("sp", "dim", "Q"):
         raise InvalidParameters(f"unknown coordinate mode {mode!r}")
     n, d = t.n, t.d
-    if mode == "sp":
+    a = np.abs(t.matrices)
+    if mode == "Q":
+        weight = np.sum(a**2, axis=0)
+    elif mode == "sp":
         p = _check_exponent(p)
-    masks, sizes, num = _subset_boundaries(np.sum(np.abs(t.matrices) ** 2, axis=0))
-    if mode != "Q":
+        weight = np.sum(a, axis=0).T  # |b|^p = |b| on 0/1 entries
+    else:
+        weight = np.sum(a > _rank_threshold(rank_tol, d), axis=0).T
+    masks, sizes, num = _subset_boundaries(weight)
+    # 0/1 entries, at most one nonzero per column (sum over rows) and per row
+    counted = np.all((a == 0) | (a == 1)) and np.all(a.sum(1) <= 1) and np.all(a.sum(2) <= 1)
+    if mode != "Q" and not counted:
         num = np.full(len(masks), np.nan)  # a subset the sweep skips shows as NaN
         for k in range(1, n // 2 + 1):
             of_size = np.flatnonzero(sizes == k)

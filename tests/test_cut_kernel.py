@@ -1,6 +1,8 @@
 """The bitmask subset kernel against the reference combinations() sweeps:
 identical value bits and witnesses on graphs and permutation tuples, and
-agreement to rounding on Haar tuples."""
+agreement to rounding on Haar tuples. Modes sp and dim read the kernel only
+on 0/1 partial-permutation tuples; the tuples just outside that gate must
+give the reference's singular-value results."""
 
 from math import comb
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexp import (
+    BistochasticTuple,
     build_complete,
     build_cycle,
     build_hypercube,
@@ -67,7 +70,62 @@ def directed_permutation_tuples(draw, max_n=12):
     return tuple_from_permutations([rng.permutation(n).tolist() for _ in range(draw(st.integers(1, 4)))])
 
 
+@st.composite
+def partial_permutation_tuples(draw):
+    """d = 1 tuples of one 0/1 partial permutation with at least one row and
+    one column without a one: not bistochastic, so the weight leaving W
+    differs from the weight entering it."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    cols = np.flatnonzero(rng.random(n) < 0.7)[: n - 1]
+    m = np.zeros((n, n))
+    m[rng.permutation(n)[: len(cols)], cols] = 1.0
+    return BistochasticTuple((m,))
+
+
+@st.composite
+def crowded_zero_one_tuples(draw, kind):
+    """0/1 tuples with two ones in some row or column. "rows": two members
+    that send the columns two at a time to one row, the first to rows
+    r(0), r(1), ... and the second to r(n-1), r(n-2), ..., so that no column
+    holds two ones but most rows do; "columns": their transposes; "ones": the
+    all-ones matrix next to a permutation matrix."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    if kind == "ones":
+        return BistochasticTuple((np.ones((n, n)), np.eye(n)[rng.permutation(n)]))
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    first, second = np.zeros((n, n)), np.zeros((n, n))
+    first[rows[np.arange(n) // 2], cols] = 1.0
+    second[rows[::-1][np.arange(n) // 2], cols] = 1.0
+    return BistochasticTuple((first, second) if kind == "rows" else (first.T, second.T))
+
+
+@st.composite
+def rotated_permutation_tuples(draw, max_n=8, mixed=True):
+    """One or two pairs (cos a P1 + sin a P2, -sin a P1 + cos a P2) of mixed
+    permutation matrices, bistochastic with entries other than 0 and 1; with
+    ``mixed`` False the monomial pairs (cos a P1, sin a P2)."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(SEEDS))
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        p1, p2 = tuple_from_permutations([rng.permutation(n).tolist() for _ in range(2)]).matrices
+        a = draw(st.floats(0.05, 1.5))
+        c, s = np.cos(a), np.sin(a)
+        mats += [c * p1 + s * p2, -s * p1 + c * p2] if mixed else [c * p1, s * p2]
+    return BistochasticTuple(tuple(mats))
+
+
 GRAPHS = st.one_of(random_graphs(), tied_graphs())
+GATE_EDGES = {
+    "partial": partial_permutation_tuples(),
+    "rows": crowded_zero_one_tuples("rows"),
+    "columns": crowded_zero_one_tuples("columns"),
+    "ones": crowded_zero_one_tuples("ones"),
+    "rotated": rotated_permutation_tuples(),
+    "monomial": rotated_permutation_tuples(mixed=False),
+}
 
 
 def _same_estimate(est, reference):
@@ -107,6 +165,31 @@ def test_boundary_mode_matches_reference_on_directed_tuples(t):
 def test_spectral_modes_match_reference_on_directed_tuples(t, p):
     _same_estimate(minimize_coordinate(t, p, mode="sp"), reference_coordinate(t, p, "sp"))
     _same_estimate(minimize_coordinate(t, p, mode="dim"), reference_coordinate(t, p, "dim"))
+
+
+@pytest.mark.parametrize("edge", list(GATE_EDGES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.sampled_from([1.0, 1.5, 3.0]), data=st.data())
+def test_spectral_modes_match_reference_at_the_table_gate(edge, p, data):
+    # partial permutations must read the table transposed; two ones in a row
+    # or a column, or entries other than 0 and 1, must take the SVD
+    t = data.draw(GATE_EDGES[edge])
+    _same_estimate(minimize_coordinate(t, p, mode="sp"), reference_coordinate(t, p, "sp"))
+    _same_estimate(minimize_coordinate(t, p, mode="dim"), reference_coordinate(t, p, "dim"))
+
+
+@pytest.mark.parametrize("rank_tol", [0.4, 0.6])
+def test_dim_mode_threshold_on_permutation_tuple(rank_tol):
+    # d = 4: the threshold rank_tol sqrt(d) is 0.8, below every one, or 1.2,
+    # above all of them, where every ratio is 0 and [0] is the witness
+    rng = np.random.default_rng(3)
+    t = tuple_from_permutations([rng.permutation(10).tolist() for _ in range(4)])
+    est = minimize_coordinate(t, 2.0, mode="dim", rank_tol=rank_tol)
+    _same_estimate(est, reference_coordinate(t, 2.0, "dim", rank_tol))
+    if rank_tol == 0.6:
+        assert (est.value, est.subset) == (0.0, [0])
+    else:
+        assert est.value > 0.0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -152,6 +235,18 @@ def test_spectral_modes_match_reference_across_blocks_on_directed_tuples(t, p, b
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
+@given(rotated_permutation_tuples(max_n=9), st.sampled_from([1.0, 1.5, 3.0]), BUDGETS)
+def test_spectral_modes_match_reference_across_blocks_on_rotated_tuples(t, p, budget):
+    # permutation tuples read the table, so the blocking is checked here on
+    # structured tuples that take the SVD: mixed permutations keep the exact
+    # zeros of a permutation tuple
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, t.n, t.d))
+        for mode in ("sp", "dim"):
+            _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(2, 9), st.integers(1, 5), SEEDS, st.floats(1.0, 6.0), BUDGETS)
 def test_spectral_modes_match_reference_across_blocks_on_haar_tuples(n, d, seed, p, budget):
     t = random_unitary_tuple(n, d, seed)
@@ -183,13 +278,23 @@ def test_batched_reductions_equal_per_spectrum_calls(stack, d, r, seed, p):
 def test_spectral_modes_recover_edge_expansion_on_graph_tuples(g, p):
     # every B_i[W, complement] block of a permutation tuple is a partial
     # permutation: its rank is its number of ones, and each nonzero singular
-    # value is 1 up to rounding
+    # value is 1, exactly in the sweep and up to rounding in an SVD
     t = tuple_from_permutations(decompose_permutations(g))
     h, witness = edge_expansion_bruteforce(g)
     dim = minimize_coordinate(t, p, mode="dim")
     assert (repr(dim.value), dim.subset) == (repr(h), witness)
     sp = minimize_coordinate(t, p, mode="sp")
-    assert abs(sp.value - h) <= 1e-12 * h
+    assert (repr(sp.value), sp.subset) == (repr(h), witness)
     assert abs(expansion_ratio_sp(t, sp.witness, p).value - h) <= 1e-12 * h
     outside = [j for j in range(g.n) if j not in sp.subset]
     assert g.adjacency[np.ix_(outside, sp.subset)].sum() / (g.d * len(sp.subset)) == h
+
+
+@pytest.mark.parametrize("n", range(10, 19))
+def test_spectral_modes_equal_edge_expansion_on_4_regular_graphs(n):
+    g = random_regular(n, 4, n)
+    h, witness = edge_expansion_bruteforce(g)
+    t = tuple_from_permutations(decompose_permutations(g))
+    for mode, p in [("dim", 2.0), ("sp", 1.0), ("sp", 1.5), ("sp", 2.0), ("sp", 3.0)]:
+        est = minimize_coordinate(t, p, mode=mode)
+        assert (repr(est.value), est.subset) == (repr(h), witness)

@@ -17,6 +17,7 @@ from spexp import (
     check_singular_bound,
     expansion_ratio_dim,
     expansion_ratio_sp,
+    quantum_edge_ratio,
     random_unitary_tuple,
     restriction_singular_values,
     tuple_from_permutations,
@@ -130,3 +131,31 @@ def test_stack_input_errors():
         restriction_singular_values(t.matrices[None], v)
     with pytest.raises(ShapeMismatch):
         restriction_singular_values(random_unitary_tuple(8, 3, 0).matrices, v)
+
+
+@st.composite
+def mixed_instances(draw):
+    """Haar or permutation tuples, n 2-24, with a Haar or a coordinate
+    subspace of dimension k <= n/2."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        t = random_unitary_tuple(n, d, draw(SEEDS))
+    else:
+        t = tuple_from_permutations([rng.permutation(n).tolist() for _ in range(d)])
+    k = draw(st.integers(1, n // 2))
+    if draw(st.booleans()):
+        return t, Subspace.haar(n, k, draw(SEEDS))
+    return t, Subspace.coordinate(n, rng.choice(n, k, replace=False))
+
+
+@SETTINGS
+@given(mixed_instances())
+def test_boundary_ratio_equals_schatten_two_ratio(instance):
+    # sum_i ||(Id - P) B_i P||_F^2 against sum_i ||P B_i (Id - P)||_F^2:
+    # equal on a bistochastic tuple, which is why mode Q and mode sp at p = 2
+    # of the coordinate sweep agree on one
+    t, v = instance
+    q, s2 = quantum_edge_ratio(t, v).value, expansion_ratio_sp(t, v, 2.0).value
+    assert abs(q - s2) <= 1e-12 * max(abs(q), abs(s2))
