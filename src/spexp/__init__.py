@@ -13,12 +13,10 @@ from .channels import (
     BistochasticTuple,
     RatioValue,
     Subspace,
-    channel_apply,
     expansion_ratio_dim,
     expansion_ratio_sp,
     quantum_edge_ratio,
     random_unitary_tuple,
-    restrict,
     restriction_singular_values,
     tuple_from_permutations,
     validate_bistochastic,
@@ -50,15 +48,10 @@ from .graphs import (
     shortest_path_metric,
 )
 from .linalg import (
-    SingularSpectrum,
     haar_isometry,
     haar_unitary,
     orthonormalize,
-    schatten_norm,
-    schatten_norm_pow,
-    singular_values,
     substream,
-    svd,
 )
 from .search import (
     ExpansionEstimate,

@@ -26,7 +26,7 @@ from .errors import (
     InvalidPermutation,
     ShapeMismatch,
 )
-from .linalg import _check_exponent, as_matrix, haar_isometry, haar_unitary, substream
+from .linalg import _check_exponent, as_integers, as_matrix, haar_isometry, haar_unitary, substream
 
 BISTOCH_TOL = 1e-9
 RANK_TOL = 1e-8
@@ -96,9 +96,6 @@ class Subspace:
     def k(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     @classmethod
     def coordinate(cls, n: int, indices) -> "Subspace":
         """Span of the canonical basis vectors listed in ``indices`` (0-based)."""
@@ -146,32 +143,6 @@ def validate_bistochastic(t: BistochasticTuple, tol: float = BISTOCH_TOL) -> Val
     dev_r = float(np.linalg.norm(right - target))
     bound = tol * d * np.sqrt(n)
     return ValidationReport(dev_l <= bound and dev_r <= bound, dev_l, dev_r, tol)
-
-
-def channel_apply(t: BistochasticTuple, x, normalized: bool = True) -> np.ndarray:
-    """Apply the induced unital channel X -> (1/d) sum_i B_i X B_i*.
-
-    With ``normalized=False`` the 1/d factor is dropped.
-    """
-    xm = as_matrix(x, "channel input")
-    if xm.shape != (t.n, t.n):
-        raise ShapeMismatch(f"channel input must be {t.n}x{t.n}, got {xm.shape}")
-    out = np.zeros_like(xm)
-    for b in t.matrices:
-        out += b @ xm @ b.conj().T
-    if normalized:
-        out /= t.d
-    return out
-
-
-def restrict(b, v: Subspace) -> np.ndarray:
-    """The restriction P_V B (Id - P_V); rank is at most min(k, n - k)."""
-    bm = as_matrix(b, "restriction input")
-    n = v.n
-    if bm.shape != (n, n):
-        raise ShapeMismatch(f"matrix must be {n}x{n}, got {bm.shape}")
-    p = v.projector()
-    return p @ bm @ (np.eye(n) - p)
 
 
 def restriction_singular_values(b, v: Subspace) -> np.ndarray:
@@ -268,10 +239,10 @@ def quantum_edge_ratio(t: BistochasticTuple, v: Subspace) -> RatioValue:
 
 
 def check_permutation(perm, n: int) -> list:
-    p = [int(x) for x in perm]
-    if len(p) != n or sorted(p) != list(range(n)):
+    p = as_integers(perm, "permutation entries", InvalidPermutation)
+    if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise InvalidPermutation(f"not a bijection on range({n}): {perm}")
-    return p
+    return p.tolist()
 
 
 def tuple_from_permutations(perms) -> BistochasticTuple:

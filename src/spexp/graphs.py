@@ -24,7 +24,7 @@ from .errors import (
     NotRegular,
     ShapeMismatch,
 )
-from .linalg import _check_exponent, as_rng
+from .linalg import _check_exponent, as_integers, as_rng
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -39,7 +39,9 @@ class RegularGraph:
     symmetric: bool = True
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.int64)
+        for field in ("n", "d"):
+            object.__setattr__(self, field, int(as_integers(getattr(self, field), field)))
+        a = as_integers(self.adjacency, "adjacency counts")
         if a.shape != (self.n, self.n):
             raise ShapeMismatch(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
         if np.any(a < 0):

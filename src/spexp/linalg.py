@@ -1,8 +1,8 @@
 """Dense complex linear algebra shared by every other module.
 
 Matrices are numpy arrays of complex128; the helpers here add the input
-validation, the Schatten norms, and the seeded random orthonormal objects
-(Haar unitaries and isometries) that the expansion machinery is built on.
+validation and the seeded random orthonormal objects (Haar unitaries and
+isometries) that the expansion machinery is built on.
 
 RNG convention used across the package: every randomized operation takes an
 integer seed (or an already-constructed ``numpy.random.Generator``), and
@@ -12,15 +12,12 @@ candidate evaluations are reproducible independently of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidDimension, InvalidExponent, InvalidMatrix, InvalidParameters
 from .errors import RankDeficient
 
-SVD_TOL = 1e-10
-RANK_TOL = 1e-12
+ORTHONORMALIZE_TOL = 1e-12
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -34,6 +31,25 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidMatrix(f"{name} contains NaN or Inf entries")
     return a
+
+
+def as_integers(x, name: str, error=InvalidParameters) -> np.ndarray:
+    """int64 array of counts or indices. Integral floats such as 2.0 pass;
+    booleans, fractions, NaN/Inf, strings and values beyond 64 bits raise
+    ``error``, where a plain cast would truncate or crash."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return np.asarray(x, dtype=np.int64)
+    a = np.asarray(x, dtype=object)
+    for k in set(map(type, a.flat)):
+        if issubclass(k, (bool, np.bool_)) or not issubclass(k, (int, float, np.integer, np.floating)):
+            raise error(f"{name} must be integers, got {k.__name__}")
+    try:
+        b = a.astype(np.int64)
+    except (OverflowError, ValueError) as exc:  # beyond 64 bits, NaN or Inf
+        raise error(f"{name} must be integers of 64 bits: {exc}") from exc
+    if not (a == b).all():
+        raise error(f"{name} must be integers, got {a[a != b].flat[0]!r}")
+    return b
 
 
 def _check_seed(seed):
@@ -54,54 +70,11 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([_check_seed(int(seed)), *[int(k) for k in key]])
 
 
-@dataclass
-class SingularSpectrum:
-    """Singular values (nonincreasing, >= 0) with optional factors.
-
-    When factors are kept, ``matrix = left @ diag(values) @ right.conj().T``.
-    """
-
-    values: np.ndarray
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
-
-
-def svd(m, compute_vectors: bool = True) -> SingularSpectrum:
-    """Singular value decomposition of a dense complex matrix.
-
-    The contract is the reconstruction residual
-    ``||M - U diag(s) W*||_F <= SVD_TOL * max(1, s_max)``, not any
-    particular algorithm.
-    """
-    a = as_matrix(m)
-    if compute_vectors:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        return SingularSpectrum(values=s, left=u, right=vh.conj().T)
-    return SingularSpectrum(values=np.linalg.svd(a, compute_uv=False))
-
-
-def singular_values(m) -> np.ndarray:
-    return svd(m, compute_vectors=False).values
-
-
 def _check_exponent(p: float) -> float:
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise InvalidExponent(f"exponent must lie in [1, inf), got {p}")
     return p
-
-
-def schatten_norm_pow(m, p: float) -> float:
-    """Sum of p-th powers of singular values (the expansion numerator form)."""
-    p = _check_exponent(p)
-    s = singular_values(m)
-    return float(np.sum(s**p))
-
-
-def schatten_norm(m, p: float) -> float:
-    """Schatten-p norm: the l_p norm of the singular values."""
-    p = _check_exponent(p)
-    return schatten_norm_pow(m, p) ** (1.0 / p)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -141,17 +114,17 @@ def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def orthonormalize(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormalize(a) -> np.ndarray:
     """Orthonormal basis Q of span(A) with Q*Q = Id.
 
     Raises RankDeficient when the smallest singular value of A falls below
-    ``rank_tol`` relative to the largest.
+    ``ORTHONORMALIZE_TOL`` relative to the largest.
     """
     a = as_matrix(a, "basis candidate")
     if a.shape[1] == 0:
         raise RankDeficient("cannot orthonormalize an empty basis")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= rank_tol * max(1.0, float(s[0])):
+    if s[-1] <= ORTHONORMALIZE_TOL * max(1.0, float(s[0])):
         raise RankDeficient(
             f"smallest singular value {s[-1]:.3e} below rank tolerance"
         )

@@ -18,10 +18,10 @@ import json
 import numpy as np
 
 from .channels import BistochasticTuple, Subspace, check_permutation
-from .embed import TARGET_LP, DistortionReport, VertexEmbedding
+from .embed import TARGET_LP, VertexEmbedding
 from .errors import InvalidMatrix, InvalidParameters
 from .graphs import RegularGraph
-from .linalg import as_matrix
+from .linalg import as_integers, as_matrix
 from .search import ExpansionEstimate
 
 
@@ -37,11 +37,14 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        shape = obj["rows"], obj["cols"]
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"malformed matrix object: {exc}") from exc
+    rows, cols = as_integers(shape, "rows and cols", InvalidMatrix).tolist()
+    if rows < 0 or cols < 0:
+        raise InvalidMatrix(f"rows and cols must be >= 0, got {rows} and {cols}")
     if re.size != rows * cols or im.size != rows * cols:
         raise InvalidMatrix("matrix entry count does not match rows*cols")
     return as_matrix((re + 1j * im).reshape(rows, cols))
@@ -57,9 +60,9 @@ def tuple_from_json(obj) -> BistochasticTuple:
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"malformed tuple object: {exc}") from exc
     t = BistochasticTuple(mats)
-    if "n" in obj and int(obj["n"]) != t.n:
+    if "n" in obj and int(as_integers(obj["n"], "n")) != t.n:
         raise InvalidParameters(f"declared n={obj['n']} but matrices are {t.n}x{t.n}")
-    if "d" in obj and int(obj["d"]) != t.d:
+    if "d" in obj and int(as_integers(obj["d"], "d")) != t.d:
         raise InvalidParameters(f"declared d={obj['d']} but tuple has {t.d} matrices")
     return t
 
@@ -75,14 +78,10 @@ def graph_to_json(g: RegularGraph) -> dict:
 
 def graph_from_json(obj) -> RegularGraph:
     try:
-        return RegularGraph(
-            n=int(obj["n"]),
-            d=int(obj["d"]),
-            adjacency=np.asarray(obj["adjacency"], dtype=np.int64),
-            symmetric=bool(obj.get("symmetric", True)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        n, d, adjacency = obj["n"], obj["d"], obj["adjacency"]
+    except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"malformed graph object: {exc}") from exc
+    return RegularGraph(n, d, adjacency, symmetric=bool(obj.get("symmetric", True)))
 
 
 def permutations_to_json(perms) -> dict:
@@ -126,21 +125,6 @@ def embedding_from_json(obj) -> VertexEmbedding:
 
 def subspace_to_json(v: Subspace) -> dict:
     return {"k": v.k, "basis": matrix_to_json(v.basis)}
-
-
-def distortion_report_to_json(report: DistortionReport) -> dict:
-    def _num(x):
-        return None if not np.isfinite(x) else float(x)
-
-    return {
-        "D": _num(report.D),
-        "infinite": bool(report.infinite),
-        "expansion": _num(report.expansion),
-        "contraction": _num(report.contraction),
-        "expansion_pair": list(report.expansion_pair) if report.expansion_pair else None,
-        "contraction_pair": list(report.contraction_pair) if report.contraction_pair else None,
-        "offending_pair": list(report.offending_pair) if report.offending_pair else None,
-    }
 
 
 def estimate_to_json(est: ExpansionEstimate) -> dict:

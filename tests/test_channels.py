@@ -6,16 +6,12 @@ import pytest
 from spexp import (
     BistochasticTuple,
     Subspace,
-    channel_apply,
     expansion_ratio_dim,
     expansion_ratio_sp,
     minimize_coordinate,
     quantum_edge_ratio,
     random_unitary_tuple,
-    restrict,
     restriction_singular_values,
-    schatten_norm_pow,
-    svd,
     tuple_from_permutations,
     validate_bistochastic,
 )
@@ -26,10 +22,10 @@ from spexp.errors import (
     InvalidPermutation,
     ShapeMismatch,
 )
-from spexp.channels import check_orthonormal
+from spexp.channels import check_orthonormal, check_permutation
 from spexp.linalg import haar_isometry, haar_unitary
 
-from util import coord, cycle_tuple, identity_tuple, shift_matrix
+from util import coord, cycle_tuple, identity_tuple, reference_restriction, shift_matrix
 
 
 def test_validate_identity_tuple_exact():
@@ -55,45 +51,20 @@ def test_validate_shape_mismatch():
         BistochasticTuple((np.eye(3), np.eye(4)))
 
 
-def test_channel_identity_tuple_is_identity_map():
-    t = identity_tuple(4, 2)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_allclose(channel_apply(t, x), x, atol=1e-12)
-
-
-def test_channel_unitality():
-    t = random_unitary_tuple(5, 3, seed=9)
-    np.testing.assert_allclose(channel_apply(t, np.eye(5)), np.eye(5), atol=1e-12)
-
-
-def test_channel_cycle_shifts_projector():
-    t = cycle_tuple(4)
-    x = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    expected = np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)
-    np.testing.assert_allclose(channel_apply(t, x), expected, atol=1e-12)
-
-
-def test_channel_shape_mismatch():
-    t = cycle_tuple(4)
-    with pytest.raises(ShapeMismatch):
-        channel_apply(t, np.eye(3))
-
-
 def test_restrict_identity_vanishes():
     v = coord(4, [0, 2])
-    np.testing.assert_allclose(restrict(np.eye(4), v), 0.0, atol=1e-14)
+    np.testing.assert_allclose(reference_restriction(np.eye(4), v), 0.0, atol=1e-14)
 
 
 def test_restrict_cycle_shift_blocks():
     # direct matrix product oracle: P S (Id - P) for the 4-cycle shift
     v = coord(4, [0, 1])
     s = shift_matrix(4)
-    r = restrict(s, v)
+    r = reference_restriction(s, v)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1.0
     np.testing.assert_allclose(r, expected, atol=1e-14)
-    r3 = restrict(np.linalg.matrix_power(s, 3), v)
+    r3 = reference_restriction(np.linalg.matrix_power(s, 3), v)
     expected3 = np.zeros((4, 4), dtype=complex)
     expected3[1, 2] = 1.0
     np.testing.assert_allclose(r3, expected3, atol=1e-14)
@@ -108,7 +79,7 @@ def test_restriction_singular_values_match_full_restriction():
         b = haar_unitary(n, rng)
         v = Subspace(haar_isometry(n, k, rng))
         compact = restriction_singular_values(b, v)
-        full = svd(restrict(b, v)).values
+        full = np.linalg.svd(reference_restriction(b, v), compute_uv=False)
         np.testing.assert_allclose(np.sort(compact)[::-1][:k], full[:k], atol=1e-12)
         assert np.all(full[k:] <= 1e-12)
 
@@ -135,7 +106,10 @@ def test_sp_ratio_matches_independent_svd_pipeline():
     t = random_unitary_tuple(8, 2, seed=3)
     v = Subspace(haar_isometry(8, 2, seed=4))
     for p in (1.0, 2.0, 3.0):
-        expected = sum(schatten_norm_pow(restrict(b, v), p) for b in t.matrices) / (2 * 2)
+        expected = sum(
+            np.sum(np.linalg.svd(reference_restriction(b, v), compute_uv=False) ** p)
+            for b in t.matrices
+        ) / (2 * 2)
         got = expansion_ratio_sp(t, v, p).value
         assert abs(got - expected) <= 1e-10 * max(1.0, expected)
 
@@ -230,6 +204,22 @@ def test_tuple_entrywise_sum_is_adjacency():
 def test_tuple_from_permutations_rejects_non_bijection():
     with pytest.raises(InvalidPermutation):
         tuple_from_permutations([[0, 0, 1]])
+
+
+@pytest.mark.parametrize("perm", [[0.5, 1, 2], [True, 0, 2], ["a", 1, 2], ["0", 1, 2], [0, 1, 2e30]])
+def test_check_permutation_refuses_non_integral_entries(perm):
+    # a cast would read 0.5 as 0 and True as 1, and crash on "a" and 2e30
+    with pytest.raises(InvalidPermutation, match="must be integers"):
+        check_permutation(perm, 3)
+    with pytest.raises(InvalidPermutation):
+        tuple_from_permutations([perm])
+
+
+def test_check_permutation_accepts_integral_floats_and_refuses_nesting():
+    assert check_permutation([2.0, 0, np.int32(1)], 3) == [2, 0, 1]
+    assert check_permutation(np.array([1, 0]), 2) == [1, 0]
+    with pytest.raises(InvalidPermutation):
+        check_permutation([[0, 1], [2, 3]], 4)
 
 
 def test_random_unitary_tuple_scalars_and_reproducibility():

@@ -197,6 +197,37 @@ def test_expansion_classical_one_vertex_is_input_error(tmp_path, capsys):
     assert "no admissible subset size for n=1" in capsys.readouterr().err
 
 
+BOUNDARY_INPUTS = {
+    "fractional-adjacency": (
+        {"n": 2, "d": 1, "symmetric": True, "adjacency": [[0, 1.9], [1.9, 0]]},
+        ["expansion", "{path}", "--mode", "classical"],
+    ),
+    "fractional-permutation": (
+        {"n": 3, "d": 1, "permutations": [[0.5, 1, 2]]},
+        ["gen", "permutation-tuple", "--perms", "{path}"],
+    ),
+    "string-permutation": (
+        {"n": 3, "d": 1, "permutations": [["a", 1, 2]]},
+        ["gen", "permutation-tuple", "--perms", "{path}"],
+    ),
+    "negative-shape": (
+        {"n": 1, "d": 1, "matrices": [{"rows": -1, "cols": -1, "re": [1.0], "im": [0.0]}]},
+        ["expansion", "{path}", "--mode", "Q", "--strategy", "coordinate"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_INPUTS))
+def test_non_integral_counts_and_indices_are_input_errors(case, tmp_path, capsys):
+    doc, argv = BOUNDARY_INPUTS[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
 def test_expansion_rejects_non_bistochastic_tuple(tmp_path, capsys):
     tup = tmp_path / "scaled.json"
     scaled = BistochasticTuple((2.0 * np.eye(4), 2.0 * np.eye(4)))

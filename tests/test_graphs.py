@@ -85,6 +85,29 @@ def test_regular_graph_rejects_bad_sums():
         RegularGraph(2, 1, a, symmetric=True)
 
 
+@pytest.mark.parametrize(
+    "n, d, a",
+    [
+        (2, 1, [[0, 1.9], [1.9, 0]]),  # a cast would read [[0, 1], [1, 0]]
+        (2, 1, [[0, True], [True, 0]]),
+        (2, 1, np.array([[False, True], [True, False]])),
+        (2, 1, np.array([[0.0, np.nan], [np.nan, 0.0]])),
+        (2, 1, [["0", "1"], ["1", "0"]]),
+        (2.5, 1, [[0, 1], [1, 0]]),
+        (2, True, [[0, 1], [1, 0]]),
+    ],
+)
+def test_regular_graph_refuses_non_integral_counts(n, d, a):
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        RegularGraph(n, d, a)
+
+
+def test_regular_graph_accepts_integral_floats():
+    g = RegularGraph(2.0, 1.0, [[0.0, 1.0], [1.0, 0.0]])
+    assert (type(g.n), type(g.d), g.adjacency.dtype) == (int, int, np.int64)
+    assert g.adjacency.tolist() == [[0, 1], [1, 0]]
+
+
 def test_decompose_cycle_reconstructs():
     g = build_cycle(4)
     perms = decompose_permutations(g)

@@ -11,7 +11,7 @@ from spexp import (
     random_unitary_tuple,
 )
 from spexp.embed import TARGET_LP, TARGET_SP
-from spexp.errors import InvalidMatrix, InvalidParameters
+from spexp.errors import InvalidMatrix, InvalidParameters, InvalidPermutation
 from spexp.serialize import (
     dumps_canonical,
     embedding_from_json,
@@ -40,6 +40,17 @@ def test_matrix_roundtrip():
 def test_matrix_rejects_bad_entry_count():
     with pytest.raises(InvalidMatrix):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+
+def test_matrix_shape_must_be_nonnegative_integers():
+    # a cast would read 0.5 x 2 as an empty 0 x 2 matrix, and (-1, -1) or
+    # (-2, -2) match the entry counts of one or four entries
+    for rows, cols, size in [(-1, -1, 1), (-2, -2, 4), (0.5, 2, 0), (True, 1, 1), ("1", 1, 1),
+                             (float("inf"), 1, 1)]:
+        with pytest.raises(InvalidMatrix):
+            matrix_from_json({"rows": rows, "cols": cols, "re": [1.0] * size, "im": [0.0] * size})
+    m = matrix_from_json({"rows": 1.0, "cols": 2.0, "re": [1.0, 2.0], "im": [0.0, 3.0]})
+    np.testing.assert_array_equal(m, [[1.0, 2.0 + 3.0j]])
 
 
 def test_tuple_roundtrip():
@@ -71,6 +82,18 @@ def test_permutations_roundtrip():
     assert permutations_from_json(doc) == perms
 
 
+def test_graph_and_permutations_refuse_non_integral_entries():
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        graph_from_json({"n": 2, "d": 1, "adjacency": [[0, 1.9], [1.9, 0]]})
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        graph_from_json({"n": 2, "d": 1.5, "adjacency": [[0, 1], [1, 0]]})
+    for bad in (0.5, True, "a"):
+        with pytest.raises(InvalidPermutation):
+            permutations_from_json({"permutations": [[bad, 1, 2]]})
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        tuple_from_json({"n": 3.5, "matrices": tuple_to_json(cycle_tuple(3))["matrices"]})
+
+
 def test_embedding_roundtrip_both_targets():
     f_lp = VertexEmbedding([np.array([0.0, 1.0]), np.array([2.0, 3.0])], TARGET_LP, 1.5)
     again = embedding_from_json(embedding_to_json(f_lp))
@@ -97,17 +120,3 @@ def test_estimate_serialization_includes_witness_basis():
 def test_dumps_canonical_is_stable():
     doc = {"b": 1.5, "a": [1, 2, {"z": 0.1, "y": -3}]}
     assert dumps_canonical(doc) == dumps_canonical(dict(reversed(doc.items())))
-
-
-def test_distortion_report_serialization():
-    from spexp import build_cycle, distortion, shortest_path_metric
-    from spexp.embed import TARGET_LP as LP
-    from spexp.serialize import distortion_report_to_json
-
-    rho = shortest_path_metric(build_cycle(4))
-    f = VertexEmbedding([np.array([float(v)]) for v in (0, 1, 2, 1)], LP, 1.0)
-    doc = distortion_report_to_json(distortion(f, rho))
-    assert doc["infinite"] is True
-    assert doc["D"] is None  # infinities map to null for JSON
-    assert doc["offending_pair"] == [1, 3]
-    dumps_canonical(doc)  # must be representable without NaN/Inf

@@ -136,9 +136,17 @@ def reference_coordinate(t, p, mode: str, rank_tol: float = RANK_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Reference restriction spectra: one compression and one SVD per matrix, and
-# the ratio numerators accumulated matrix by matrix.
+# Reference restrictions and their spectra: the full n x n restriction, one
+# compression and one SVD per matrix, and the ratio numerators accumulated
+# matrix by matrix.
 # ---------------------------------------------------------------------------
+
+
+def reference_restriction(b, v):
+    """The full n x n restriction P B (Id - P), P = QQ* from the basis Q of v."""
+    q = v.basis
+    proj = q @ q.conj().T
+    return proj @ b @ (np.eye(v.n) - proj)
 
 
 def reference_spectrum(b, v):
