@@ -21,8 +21,8 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .graphs import MetricMatrix, RegularGraph, _cut_ratio, is_connected, metric_ratio
-from .graphs import shortest_path_metric
+from .graphs import MetricMatrix, RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
+from .graphs import metric_ratio, shortest_path_metric
 from .linalg import _check_exponent, substream
 from .search import descend
 
@@ -34,10 +34,11 @@ SWEEP_CUTS = 3  # best Fiedler prefix cuts used as starting points
 
 @dataclass
 class VertexEmbedding:
-    """Images of the n vertices: 1-D arrays (vector-lp) or square matrices
-    (matrix-sp), all of identical shape."""
+    """Images of the n vertices as one array of the object's own: (n, m)
+    vectors (vector-lp) or (n, m, m) square matrices (matrix-sp). A list of
+    images of one shape is stacked."""
 
-    images: list
+    images: np.ndarray
     target: str
     p: float
 
@@ -45,19 +46,18 @@ class VertexEmbedding:
         if self.target not in (TARGET_LP, TARGET_SP):
             raise InvalidParameters(f"unknown target {self.target!r}")
         self.p = _check_exponent(self.p)
-        imgs = [np.asarray(x) for x in self.images]
-        if not imgs:
+        try:
+            x = np.array(self.images)
+        except ValueError as exc:  # images of different shapes
+            raise ShapeMismatch(f"images must all share one shape: {exc}") from exc
+        if x.shape[:1] == (0,):
             raise InvalidParameters("embedding needs at least one image")
-        want_ndim = 1 if self.target == TARGET_LP else 2
-        shape = imgs[0].shape
-        for x in imgs:
-            if x.ndim != want_ndim or x.shape != shape:
-                raise ShapeMismatch("images must all share one shape of the right kind")
-            if x.size and not np.all(np.isfinite(x)):
-                raise InvalidParameters("images must be finite")
-        if self.target == TARGET_SP and shape[0] != shape[1]:
-            raise ShapeMismatch("matrix images must be square")
-        self.images = imgs
+        want_ndim = 2 if self.target == TARGET_LP else 3
+        if x.ndim != want_ndim or (want_ndim == 3 and x.shape[1] != x.shape[2]):
+            raise ShapeMismatch("images must all share one shape: vectors or square matrices")
+        if not np.all(np.isfinite(x)):
+            raise InvalidParameters("images must be finite")
+        self.images = x
 
     @property
     def n(self) -> int:
@@ -65,7 +65,7 @@ class VertexEmbedding:
 
     @property
     def m(self) -> int:
-        return self.images[0].shape[0]
+        return self.images.shape[1]
 
 
 def _pair_blocks(x):
@@ -114,9 +114,8 @@ _POWERS = {TARGET_LP: _lp_powers, TARGET_SP: _sp_powers}
 
 def _pair_powers(f: VertexEmbedding) -> np.ndarray:
     """(n, n) matrix of ||f(i) - f(j)||^p over all ordered pairs."""
-    x = np.stack(f.images)
     out = np.empty((f.n, f.n))
-    for lo, hi, diff in _pair_blocks(x):
+    for lo, hi, diff in _pair_blocks(f.images):
         out[lo:hi] = _POWERS[f.target](diff, f.p).sum(axis=-1)
     return out
 
@@ -126,10 +125,7 @@ def embedding_ratio(g: RegularGraph, f: VertexEmbedding) -> float:
     target-norm distance between images."""
     if f.n != g.n:
         raise ShapeMismatch(f"embedding has {f.n} images, graph has {g.n} vertices")
-    dp = _pair_powers(f)
-    upper = np.triu_indices(g.n, k=1)
-    num = float((g.adjacency[upper] * dp[upper]).sum()) / g.edge_count()
-    den = float(dp.sum()) / g.n**2
+    num, den = _edge_pair_averages(g, _pair_powers(f))
     if den <= 0:
         raise DegenerateEmbedding("all images coincide; ratio undefined")
     return (num / den) ** (1.0 / f.p)
@@ -323,11 +319,7 @@ def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
     """Normalize each start, descend from it, and keep the embedding with the
     smallest exact ratio (normalized starts included; earlier wins ties)."""
 
-    def exact_ratio(x):
-        return embedding_ratio(g, VertexEmbedding([a.copy() for a in x], target, p))
-
-    best_val = None
-    best_x = None
+    best = None
     total_iters = 0
     starts = 0
     for x0 in inits:
@@ -335,19 +327,19 @@ def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
         if x_init is None:
             continue
         starts += 1
-        val = exact_ratio(x_init)
-        if best_val is None or val < best_val:
-            best_val, best_x = val, x_init
         x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, target)
         if x_fin is not None:
             total_iters += len(trace) - 1
-            val = exact_ratio(x_fin)
-            if val < best_val:
-                best_val, best_x = val, x_fin
-    if best_x is None:
+        for x in (x_init, x_fin):
+            if x is not None:
+                f = VertexEmbedding(x, target, p)
+                val = embedding_ratio(g, f)
+                if best is None or val < best.value:
+                    best = EmbedEstimate(val, f)
+    if best is None:
         raise NumericalFailure("no usable starting point")
-    witness = VertexEmbedding([a.copy() for a in best_x], target, p)
-    return EmbedEstimate(best_val, witness, starts=starts, iterations=total_iters)
+    best.starts, best.iterations = starts, total_iters
+    return best
 
 
 def lp_expansion_estimate(
@@ -387,7 +379,7 @@ def sp_expansion_estimate(
     p = float(p)
     n = g.n
     diag_lift = np.zeros((n, m, m))
-    diag_lift[:, np.arange(m), np.arange(m)] = np.stack(lp_result.witness.images)
+    diag_lift[:, np.arange(m), np.arange(m)] = lp_result.witness.images
     inits = [diag_lift]
     for r in range(cfg.restarts):
         rng = substream(cfg.seed, 11, r)

@@ -39,6 +39,8 @@ class RegularGraph:
     symmetric: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise InvalidParameters(f"symmetric must be a boolean, got {self.symmetric!r}")
         for field in ("n", "d"):
             object.__setattr__(self, field, int(as_integers(getattr(self, field), field)))
         a = as_integers(self.adjacency, "adjacency counts")
@@ -292,26 +294,26 @@ def edge_expansion_bruteforce(g: RegularGraph):
     return _lex_min(masks, boundary / (g.d * sizes))
 
 
-def _neighbors(g: RegularGraph) -> list:
+def _hops(g: RegularGraph, sources):
+    """Breadth-first hop counts from each source to every vertex, one list per
+    source, -1 where unreachable; edges are followed in both directions."""
     a = g.adjacency
-    return [list(np.nonzero((a[i] + a[:, i]) > 0)[0]) for i in range(g.n)]
+    nbrs = [np.flatnonzero(a[i] + a[:, i]).tolist() for i in range(g.n)]
+    for src in sources:
+        row = [-1] * g.n
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for u in nbrs[v]:
+                if row[u] < 0:
+                    row[u] = row[v] + 1
+                    queue.append(u)
+        yield row
 
 
 def is_connected(g: RegularGraph) -> bool:
-    n = g.n
-    nbrs = _neighbors(g)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                queue.append(u)
-    return count == n
+    return min(next(_hops(g, [0]))) >= 0
 
 
 @dataclass(frozen=True)
@@ -327,21 +329,19 @@ class MetricMatrix:
 
 def shortest_path_metric(g: RegularGraph) -> MetricMatrix:
     """BFS hop distances; raises DisconnectedGraph when any pair is unreachable."""
-    n = g.n
-    nbrs = _neighbors(g)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in nbrs[v]:
-                if dist[src, u] < 0:
-                    dist[src, u] = dist[src, v] + 1
-                    queue.append(u)
+    dist = np.array(list(_hops(g, range(g.n))), dtype=np.float64)
     if np.any(dist < 0):
         raise DisconnectedGraph("graph is not connected")
-    return MetricMatrix(dist.astype(np.float64))
+    return MetricMatrix(dist)
+
+
+def _edge_pair_averages(g: RegularGraph, powers: np.ndarray):
+    """(edge average, ordered-pair average) of an (n, n) matrix of p-th
+    powers: the pairs i < j weighted by adjacency over |E|, and all n^2
+    entries over n^2."""
+    upper = np.triu_indices(g.n, k=1)
+    num = float((g.adjacency[upper] * powers[upper]).sum()) / g.edge_count()
+    return num, float(powers.sum()) / g.n**2
 
 
 def metric_ratio_parts(g: RegularGraph, rho: MetricMatrix, p: float):
@@ -356,12 +356,7 @@ def metric_ratio_parts(g: RegularGraph, rho: MetricMatrix, p: float):
         raise ShapeMismatch(f"metric is on {rho.n} points, graph on {g.n}")
     if g.n < 2:
         raise DegenerateMetric("metric ratio needs at least two points")
-    a = g.adjacency
-    rp = rho.dist**p
-    edges = g.edge_count()
-    upper = np.triu_indices(g.n, k=1)
-    num = float((a[upper] * rp[upper]).sum()) / edges
-    den = float(rp.sum()) / g.n**2
+    num, den = _edge_pair_averages(g, rho.dist**p)
     if den <= 0:
         raise DegenerateMetric("all pairwise distances vanish")
     return num, den

@@ -33,16 +33,24 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_numbers(x, name: str, error=InvalidParameters, what: str = "numbers") -> np.ndarray:
+    """x as an object array, after one pass over its entry types: booleans,
+    strings, None and nesting raise ``error``, where a float cast would read
+    "1" or true as a number."""
+    a = np.asarray(x, dtype=object)
+    for k in set(map(type, a.flat)):
+        if issubclass(k, (bool, np.bool_)) or not issubclass(k, (int, float, np.integer, np.floating)):
+            raise error(f"{name} must be {what}, got {k.__name__}")
+    return a
+
+
 def as_integers(x, name: str, error=InvalidParameters) -> np.ndarray:
     """int64 array of counts or indices. Integral floats such as 2.0 pass;
     booleans, fractions, NaN/Inf, strings and values beyond 64 bits raise
     ``error``, where a plain cast would truncate or crash."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
         return np.asarray(x, dtype=np.int64)
-    a = np.asarray(x, dtype=object)
-    for k in set(map(type, a.flat)):
-        if issubclass(k, (bool, np.bool_)) or not issubclass(k, (int, float, np.integer, np.floating)):
-            raise error(f"{name} must be integers, got {k.__name__}")
+    a = as_numbers(x, name, error, "integers")
     try:
         b = a.astype(np.int64)
     except (OverflowError, ValueError) as exc:  # beyond 64 bits, NaN or Inf

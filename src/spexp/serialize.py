@@ -21,7 +21,7 @@ from .channels import BistochasticTuple, Subspace, check_permutation
 from .embed import TARGET_LP, VertexEmbedding
 from .errors import InvalidMatrix, InvalidParameters
 from .graphs import RegularGraph
-from .linalg import as_integers, as_matrix
+from .linalg import as_integers, as_matrix, as_numbers
 from .search import ExpansionEstimate
 
 
@@ -30,17 +30,17 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "re": [float(x) for x in a.real.ravel()],
-        "im": [float(x) for x in a.imag.ravel()],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
         shape = obj["rows"], obj["cols"]
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = as_numbers(obj["re"], "re", InvalidMatrix).astype(np.float64)
+        im = as_numbers(obj["im"], "im", InvalidMatrix).astype(np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix object: {exc}") from exc
     rows, cols = as_integers(shape, "rows and cols", InvalidMatrix).tolist()
     if rows < 0 or cols < 0:
@@ -72,7 +72,7 @@ def graph_to_json(g: RegularGraph) -> dict:
         "n": g.n,
         "d": g.d,
         "symmetric": bool(g.symmetric),
-        "adjacency": [[int(x) for x in row] for row in g.adjacency],
+        "adjacency": g.adjacency.tolist(),
     }
 
 
@@ -81,11 +81,11 @@ def graph_from_json(obj) -> RegularGraph:
         n, d, adjacency = obj["n"], obj["d"], obj["adjacency"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"malformed graph object: {exc}") from exc
-    return RegularGraph(n, d, adjacency, symmetric=bool(obj.get("symmetric", True)))
+    return RegularGraph(n, d, adjacency, symmetric=obj.get("symmetric", True))
 
 
 def permutations_to_json(perms) -> dict:
-    perms = [list(int(x) for x in p) for p in perms]
+    perms = [np.asarray(p, dtype=np.int64).tolist() for p in perms]
     n = len(perms[0]) if perms else 0
     return {"n": n, "d": len(perms), "permutations": perms}
 
@@ -103,7 +103,7 @@ def permutations_from_json(obj) -> list:
 
 def embedding_to_json(f: VertexEmbedding) -> dict:
     if f.target == TARGET_LP:
-        images = [[float(x) for x in np.asarray(img).real] for img in f.images]
+        images = f.images.real.astype(np.float64).tolist()
     else:
         images = [matrix_to_json(img) for img in f.images]
     return {"n": f.n, "target": f.target, "p": f.p, "m": f.m, "images": images}
@@ -111,15 +111,15 @@ def embedding_to_json(f: VertexEmbedding) -> dict:
 
 def embedding_from_json(obj) -> VertexEmbedding:
     try:
-        target = obj["target"]
-        p = float(obj["p"])
-        raw = obj["images"]
-    except (KeyError, TypeError, ValueError) as exc:
+        target, p, raw = obj["target"], obj["p"], obj["images"]
+        as_numbers(p, "p")  # float() alone would read "2" or true as a number
+        p = float(p)
+        if target == TARGET_LP:
+            images = [as_numbers(img, "images").astype(np.float64) for img in raw]
+        else:
+            images = [matrix_from_json(img) for img in raw]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameters(f"malformed embedding object: {exc}") from exc
-    if target == TARGET_LP:
-        images = [np.asarray(img, dtype=np.float64) for img in raw]
-    else:
-        images = [matrix_from_json(img) for img in raw]
     return VertexEmbedding(images, target, p)
 
 

@@ -214,6 +214,16 @@ BOUNDARY_INPUTS = {
         {"n": 1, "d": 1, "matrices": [{"rows": -1, "cols": -1, "re": [1.0], "im": [0.0]}]},
         ["expansion", "{path}", "--mode", "Q", "--strategy", "coordinate"],
     ),
+    # a cast would read "no" as true and these entries as the identity
+    "string-symmetric-flag": (
+        {"n": 2, "d": 1, "symmetric": "no", "adjacency": [[0, 1], [1, 0]]},
+        ["expansion", "{path}", "--mode", "classical"],
+    ),
+    "boolean-matrix-entries": (
+        {"n": 2, "d": 1, "matrices": [
+            {"rows": 2, "cols": 2, "re": [True, False, False, True], "im": [0, 0, 0, 0]}]},
+        ["expansion", "{path}", "--mode", "Q", "--strategy", "coordinate"],
+    ),
 }
 
 

@@ -20,7 +20,7 @@ from spexp import (
     sp_expansion_estimate,
 )
 from spexp.embed import TARGET_LP, TARGET_SP
-from spexp.errors import DegenerateEmbedding, InvalidExponent, ShapeMismatch
+from spexp.errors import DegenerateEmbedding, InvalidExponent, InvalidParameters, ShapeMismatch
 
 
 def _random_lp_embedding(rng, n, m, p):
@@ -66,6 +66,27 @@ def test_one_hot_embedding_matches_distance_matrix_recomputation():
     ) / g.edge_count()
     den = (dist**2).sum() / 64.0
     assert embedding_ratio(g, f) == pytest.approx((num / den) ** 0.5, rel=1e-12)
+
+
+def test_embedding_images_are_one_owned_array():
+    rng = np.random.default_rng(2)
+    for target, shape in ((TARGET_LP, (5, 3)), (TARGET_SP, (5, 3, 3))):
+        x = rng.standard_normal(shape)
+        for images in (x, list(x)):
+            f = VertexEmbedding(images, target, 2.0)
+            assert isinstance(f.images, np.ndarray) and f.images.shape == shape
+            assert (f.n, f.m) == (5, 3)
+            np.testing.assert_array_equal(f.images, x)
+            assert not np.shares_memory(f.images, x)
+    with pytest.raises(ShapeMismatch):
+        VertexEmbedding([np.zeros(2), np.zeros(3)], TARGET_LP, 1.0)
+    with pytest.raises(ShapeMismatch):
+        VertexEmbedding([np.zeros((2, 2)), np.zeros((3, 3))], TARGET_SP, 1.0)
+    for target, images in ((TARGET_LP, np.zeros((4, 2, 2))), (TARGET_SP, np.zeros((4, 2, 3)))):
+        with pytest.raises(ShapeMismatch):
+            VertexEmbedding(images, target, 1.0)
+    with pytest.raises(InvalidParameters):
+        VertexEmbedding([], TARGET_LP, 1.0)
 
 
 def test_embedding_ratio_rejects_constant_map():

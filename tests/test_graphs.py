@@ -102,6 +102,15 @@ def test_regular_graph_refuses_non_integral_counts(n, d, a):
         RegularGraph(n, d, a)
 
 
+@pytest.mark.parametrize("flag", ["no", "false", 1, 0, None])
+def test_regular_graph_symmetric_flag_must_be_boolean(flag):
+    # bool() would read "no" and "false" as true
+    with pytest.raises(InvalidParameters, match="symmetric must be a boolean"):
+        RegularGraph(2, 1, [[0, 1], [1, 0]], symmetric=flag)
+    for ok in (True, False, np.bool_(True)):
+        assert RegularGraph(2, 1, [[0, 1], [1, 0]], symmetric=ok).symmetric == ok
+
+
 def test_regular_graph_accepts_integral_floats():
     g = RegularGraph(2.0, 1.0, [[0.0, 1.0], [1.0, 0.0]])
     assert (type(g.n), type(g.d), g.adjacency.dtype) == (int, int, np.int64)

@@ -53,6 +53,26 @@ def test_matrix_shape_must_be_nonnegative_integers():
     np.testing.assert_array_equal(m, [[1.0, 2.0 + 3.0j]])
 
 
+def test_entries_flags_and_exponents_must_be_json_types():
+    # a float cast would read each of these as the number 1, 0 or 2
+    for re in ([True, False], ["1", "0"], [None, 0.0], [[1.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidMatrix, match="must be numbers"):
+            matrix_from_json({"rows": 1, "cols": 2, "re": re, "im": [0.0, 0.0]})
+    with pytest.raises(InvalidMatrix, match="im must be numbers"):
+        matrix_from_json({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [False, 0.0]})
+    images = [[0.0, 1.0], [2.0, 3.0]]
+    for p, imgs in (("2", images), (True, images), (2.0, [[0.0, True], [2.0, 3.0]])):
+        with pytest.raises(InvalidParameters, match="must be numbers"):
+            embedding_from_json({"target": TARGET_LP, "p": p, "images": imgs})
+    with pytest.raises(InvalidParameters, match="malformed embedding"):
+        embedding_from_json({"target": TARGET_LP, "p": [2.0], "images": images})
+    directed = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    with pytest.raises(InvalidParameters, match="symmetric must be a boolean"):
+        graph_from_json({"n": 3, "d": 1, "symmetric": "false", "adjacency": directed})
+    assert not graph_from_json({"n": 3, "d": 1, "symmetric": False, "adjacency": directed}).symmetric
+    assert graph_from_json({"n": 2, "d": 1, "adjacency": [[0, 1], [1, 0]]}).symmetric is True
+
+
 def test_tuple_roundtrip():
     t = random_unitary_tuple(4, 3, seed=9)
     again = tuple_from_json(tuple_to_json(t))
@@ -98,11 +118,12 @@ def test_embedding_roundtrip_both_targets():
     f_lp = VertexEmbedding([np.array([0.0, 1.0]), np.array([2.0, 3.0])], TARGET_LP, 1.5)
     again = embedding_from_json(embedding_to_json(f_lp))
     assert again.target == TARGET_LP and again.p == 1.5
+    assert isinstance(again.images, np.ndarray) and again.images.shape == (2, 2)
     np.testing.assert_array_equal(again.images[1], [2.0, 3.0])
 
     f_sp = VertexEmbedding([np.eye(2), np.zeros((2, 2))], TARGET_SP, 2.0)
     again_sp = embedding_from_json(embedding_to_json(f_sp))
-    assert again_sp.target == TARGET_SP
+    assert again_sp.target == TARGET_SP and again_sp.images.shape == (2, 2, 2)
     np.testing.assert_array_equal(again_sp.images[0], np.eye(2))
 
 
