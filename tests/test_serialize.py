@@ -60,12 +60,15 @@ def test_entries_flags_and_exponents_must_be_json_types():
             matrix_from_json({"rows": 1, "cols": 2, "re": re, "im": [0.0, 0.0]})
     with pytest.raises(InvalidMatrix, match="im must be numbers"):
         matrix_from_json({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [False, 0.0]})
+    with pytest.raises(InvalidMatrix, match="malformed"):  # an integer beyond float64
+        matrix_from_json({"rows": 1, "cols": 2, "re": [10**400, 0.0], "im": [0.0, 0.0]})
     images = [[0.0, 1.0], [2.0, 3.0]]
     for p, imgs in (("2", images), (True, images), (2.0, [[0.0, True], [2.0, 3.0]])):
         with pytest.raises(InvalidParameters, match="must be numbers"):
             embedding_from_json({"target": TARGET_LP, "p": p, "images": imgs})
-    with pytest.raises(InvalidParameters, match="malformed embedding"):
-        embedding_from_json({"target": TARGET_LP, "p": [2.0], "images": images})
+    for p in ([2.0], 10**400):
+        with pytest.raises(InvalidParameters, match="malformed embedding"):
+            embedding_from_json({"target": TARGET_LP, "p": p, "images": images})
     directed = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     with pytest.raises(InvalidParameters, match="symmetric must be a boolean"):
         graph_from_json({"n": 3, "d": 1, "symmetric": "false", "adjacency": directed})
