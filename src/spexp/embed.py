@@ -285,10 +285,9 @@ def _normalize(x, p, powers):
     return x * den ** (-1.0 / p)
 
 
-def _descend_embedding(g, x0, p, max_iters, target):
-    """Descent on the smoothed quotient ratio from x0, normalized once more;
-    returns (final images, objective trace), or (None, []) when x0 cannot be
-    normalized."""
+def _descend_embedding(g, x, p, max_iters, target):
+    """Descent on the smoothed quotient ratio from the normalized start x;
+    returns (final images, objective trace)."""
     smoothed, powers = _SMOOTHED[target], _POWERS[target]
     n = g.n
     # the pairs i < j weighted as embedding_ratio weighs them, made symmetric
@@ -305,9 +304,6 @@ def _descend_embedding(g, x0, p, max_iters, target):
 
         return num / den, slope
 
-    x = _normalize(x0, p, powers)
-    if x is None:
-        return None, []
     value, slope = evaluate(x)
     return descend(
         x, value, slope, evaluate, lambda y: _normalize(y, p, powers),
@@ -318,7 +314,6 @@ def _descend_embedding(g, x0, p, max_iters, target):
 def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
     """Normalize each start, descend from it, and keep the embedding with the
     smallest exact ratio (normalized starts included; earlier wins ties)."""
-
     best = None
     total_iters = 0
     starts = 0
@@ -328,14 +323,12 @@ def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
             continue
         starts += 1
         x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, target)
-        if x_fin is not None:
-            total_iters += len(trace) - 1
+        total_iters += len(trace) - 1
         for x in (x_init, x_fin):
-            if x is not None:
-                f = VertexEmbedding(x, target, p)
-                val = embedding_ratio(g, f)
-                if best is None or val < best.value:
-                    best = EmbedEstimate(val, f)
+            f = VertexEmbedding(x, target, p)
+            val = embedding_ratio(g, f)
+            if best is None or val < best.value:
+                best = EmbedEstimate(val, f)
     if best is None:
         raise NumericalFailure("no usable starting point")
     best.starts, best.iterations = starts, total_iters
