@@ -11,6 +11,7 @@ pair-average) from a mix of spectral, sweep-cut and random starting points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,44 +69,70 @@ class VertexEmbedding:
         return self.images.shape[1]
 
 
+_PAIR_ENTRIES = 1 << 22  # difference entries per pair block
+
+
 def _pair_blocks(x):
-    """(lo, hi, x[lo:hi, None] - x[None, :]) over row blocks of x, sized so
-    that each difference block holds about 2^22 entries."""
-    n = x.shape[0]
-    block = max(1, (1 << 22) // max(1, n * x[0].size))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        yield lo, hi, x[lo:hi, None] - x[None, :]
+    """(a, b, lo, hi, x[a:b, lo:hi, None] - x[a:b, None, :]) over an (S, n,
+    *image_shape) stack: rows lo:hi of one start hold about _PAIR_ENTRIES
+    entries (its row blocks alone), starts a:b as many as stay within that."""
+    size = max(1, x[:1].size)  # the entries of one start
+    rows = min(x.shape[1], max(1, _PAIR_ENTRIES // size))
+    starts = max(1, _PAIR_ENTRIES // (rows * size))
+    for a in range(0, len(x), starts):
+        b = min(a + starts, len(x))
+        for lo in range(0, x.shape[1], rows):
+            hi = min(lo + rows, x.shape[1])
+            yield a, b, lo, hi, x[a:b, lo:hi, None] - x[a:b, None, :]
 
 
-# Each target contributes two functions of a (rows, n, *image_shape)
-# difference block. Both return per-pair terms along a last axis of length m;
-# a pair's value is the sum of its terms.
-#   smoothed(diff, p, eps) -> (terms of the smoothed ||diff||^p, the gradient
-#                              of their sum with respect to diff)
-#   powers(diff, p)        -> terms of the exact ||diff||^p
+# Each target contributes two functions of a (..., rows, n, *image_shape)
+# difference block of rows lo:lo + rows. Both return per-pair terms along a
+# last axis of length m; a pair's value is the sum of its terms.
+#   smoothed(diff, lo, p, eps) -> (terms of the smoothed ||diff||^p, the
+#                                  gradient of their sum with respect to diff)
+#   powers(diff, lo, p)        -> terms of the exact ||diff||^p
 
 
-def _lp_smoothed(diff, p, eps):
+def _lp_smoothed(diff, lo, p, eps):
     sq = diff**2 + eps
     return sq ** (p / 2.0), p * diff * sq ** (p / 2.0 - 1.0)
 
 
-def _lp_powers(diff, p):
+def _lp_powers(diff, lo, p):
     return np.abs(diff) ** p
 
 
-def _sp_smoothed(diff, p, eps):
-    """Terms (lambda + eps)^(p/2) over the eigenvalues lambda of D D^T, and
-    the gradient p (D D^T + eps)^(p/2 - 1) D, by one stacked eigh."""
-    lam, u = np.linalg.eigh(diff @ diff.swapaxes(-1, -2))
+@functools.lru_cache(maxsize=64)
+def _pair_halves(lo, rows, n):
+    """Block indices of rows lo:lo + rows, diagonal left out: the pairs (i, j)
+    decomposed (j > i or j outside the block), and the pairs lo <= j < i with
+    the position of (j, i), mirrored from it (-D: same Gram and S_p, -grad)."""
+    i, j = np.meshgrid(np.arange(lo, lo + rows), np.arange(n), indexing="ij")
+    own, mirror = (j > i) | (j < lo), (j >= lo) & (j < i)
+    return i[own] - lo, j[own], i[mirror] - lo, j[mirror], j[mirror] - lo, i[mirror]
+
+
+def _sp_smoothed(diff, lo, p, eps):
+    """Terms (lambda + eps)^(p/2) over the eigenvalues lambda of D D^T, and the
+    gradient p (D D^T + eps)^(p/2 - 1) D, by one eigh per decomposed pair."""
+    r, c, mr, mc, sr, sc = _pair_halves(lo, *diff.shape[-4:-2])
+    d = diff[..., r, c, :, :]
+    lam, u = np.linalg.eigh(d @ d.swapaxes(-1, -2))
     lam = np.clip(lam, 0.0, None) + eps
     h = (u * (lam ** (p / 2.0 - 1.0))[..., None, :]) @ u.swapaxes(-1, -2)
-    return lam ** (p / 2.0), p * (h @ diff)
+    phi, psi = np.zeros(diff.shape[:-1]), np.zeros(diff.shape)
+    phi[..., r, c, :], psi[..., r, c, :, :] = lam ** (p / 2.0), p * (h @ d)
+    phi[..., mr, mc, :], psi[..., mr, mc, :, :] = phi[..., sr, sc, :], -psi[..., sr, sc, :, :]
+    return phi, psi
 
 
-def _sp_powers(diff, p):
-    return np.linalg.svd(diff, compute_uv=False) ** p
+def _sp_powers(diff, lo, p):
+    r, c, mr, mc, sr, sc = _pair_halves(lo, *diff.shape[-4:-2])
+    out = np.zeros(diff.shape[:-1])
+    out[..., r, c, :] = np.linalg.svd(diff[..., r, c, :, :], compute_uv=False) ** p
+    out[..., mr, mc, :] = out[..., sr, sc, :]
+    return out
 
 
 _SMOOTHED = {TARGET_LP: _lp_smoothed, TARGET_SP: _sp_smoothed}
@@ -115,8 +142,8 @@ _POWERS = {TARGET_LP: _lp_powers, TARGET_SP: _sp_powers}
 def _pair_powers(f: VertexEmbedding) -> np.ndarray:
     """(n, n) matrix of ||f(i) - f(j)||^p over all ordered pairs."""
     out = np.empty((f.n, f.n))
-    for lo, hi, diff in _pair_blocks(f.images):
-        out[lo:hi] = _POWERS[f.target](diff, f.p).sum(axis=-1)
+    for _, _, lo, hi, diff in _pair_blocks(f.images[None]):
+        out[lo:hi] = _POWERS[f.target](diff[0], lo, f.p).sum(axis=-1)
     return out
 
 
@@ -256,53 +283,54 @@ def _lp_init_points(g: RegularGraph, m: int, cfg: OptimizerConfig) -> list:
 
 
 def _parts(x, w_edges, p, eps, n2, edge_count, smoothed):
-    """Smoothed (num, den, grad_num, grad_den) of the quotient objective."""
-    num = 0.0
-    den = 0.0
-    gnum = np.zeros_like(x)
-    gden = np.zeros_like(x)
-    for lo, hi, diff in _pair_blocks(x):
-        phi, psi = smoothed(diff, p, eps)
+    """Smoothed (num, den, grad_num, grad_den) of the quotient objective at
+    each start of an (S, n, *image_shape) stack."""
+    num, den = np.zeros(len(x)), np.zeros(len(x))
+    gnum, gden = np.zeros_like(x), np.zeros_like(x)
+    for a, b, lo, hi, diff in _pair_blocks(x):
+        phi, psi = smoothed(diff, lo, p, eps)
         t = phi.sum(axis=-1)
-        t[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        num += float((w_edges[lo:hi] * t).sum())
-        den += float(t.sum())
-        gnum[lo:hi] = np.einsum("ij,ij...->i...", w_edges[lo:hi], psi)
-        gden[lo:hi] = 2.0 * psi.sum(axis=1)
+        t[:, np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        num[a:b] += (w_edges[lo:hi] * t).reshape(b - a, -1).sum(axis=1)
+        den[a:b] += t.reshape(b - a, -1).sum(axis=1)
+        gnum[a:b, lo:hi] = np.einsum("ij,sij...->si...", w_edges[lo:hi], psi)
+        gden[a:b, lo:hi] = 2.0 * psi.sum(axis=2)
     return num / (2.0 * edge_count), den / n2, gnum / edge_count, gden / n2
 
 
 def _normalize(x, p, powers):
-    """Center x and scale it to a unit pair average of ||x[i] - x[j]||^p;
-    None when all images coincide."""
-    x = x - x.mean(axis=0)
-    total = 0.0
-    for _, _, diff in _pair_blocks(x):
-        total += float(np.sum(powers(diff, p)))
-    den = total / x.shape[0] ** 2
-    if den <= 0:
-        return None
-    return x * den ** (-1.0 / p)
+    """Center each start of an (S, n, *image_shape) stack and scale it to a
+    unit pair average of ||x[i] - x[j]||^p; returns the stack and a flag per
+    start, False where all its images coincide."""
+    x = x - x.mean(axis=1, keepdims=True)
+    total = np.zeros(len(x))
+    for a, b, lo, _, diff in _pair_blocks(x):
+        total[a:b] += powers(diff, lo, p).reshape(b - a, -1).sum(axis=1)
+    den = total / x.shape[1] ** 2
+    # the power of a Python float, per start: a numpy array power rounds differently
+    scale = [float(d) ** (-1.0 / p) if d > 0 else 0.0 for d in den]
+    return x * np.reshape(scale, (-1,) + (1,) * (x.ndim - 1)), den > 0
 
 
 def _descend_embedding(g, x, p, max_iters, target):
-    """Descent on the smoothed quotient ratio from the normalized start x;
-    returns (final images, objective trace)."""
+    """Lock-step descent on the smoothed quotient ratio from the normalized
+    (S, n, *image_shape) stack x; returns (final images, objective traces)."""
     smoothed, powers = _SMOOTHED[target], _POWERS[target]
-    n = g.n
     # the pairs i < j weighted as embedding_ratio weighs them, made symmetric
     upper = np.triu(g.adjacency, k=1).astype(np.float64)
     w = upper + upper.T
     edge_count = float(g.edge_count())
+    shape = (-1,) + (1,) * (x.ndim - 1)
 
     def evaluate(x):
-        num, den, gnum, gden = _parts(x, w, p, EPSILON, n * n, edge_count, smoothed)
+        num, den, gnum, gden = _parts(x, w, p, EPSILON, g.n * g.n, edge_count, smoothed)
+        value = num / den
 
-        def slope():
-            grad = (gnum - num / den * gden) / den
-            return grad, float(np.sum(grad**2))
+        def slope(rows):
+            grad = (gnum[rows] - value[rows].reshape(shape) * gden[rows]) / den[rows].reshape(shape)
+            return grad, (grad**2).reshape(len(grad), -1).sum(axis=1)
 
-        return num / den, slope
+        return value, slope
 
     value, slope = evaluate(x)
     return descend(
@@ -312,26 +340,21 @@ def _descend_embedding(g, x, p, max_iters, target):
 
 
 def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
-    """Normalize each start, descend from it, and keep the embedding with the
+    """Normalize the starts, descend from all in lock-step, and keep the
     smallest exact ratio (normalized starts included; earlier wins ties)."""
+    x, ok = _normalize(np.array(inits, dtype=np.float64), p, _POWERS[target])
+    x = x[ok]
+    if not len(x):
+        raise NumericalFailure("no usable starting point")
+    x_fin, traces = _descend_embedding(g, x, p, cfg.max_iters, target)
     best = None
-    total_iters = 0
-    starts = 0
-    for x0 in inits:
-        x_init = _normalize(x0.astype(np.float64), p, _POWERS[target])
-        if x_init is None:
-            continue
-        starts += 1
-        x_fin, trace = _descend_embedding(g, x_init, p, cfg.max_iters, target)
-        total_iters += len(trace) - 1
-        for x in (x_init, x_fin):
-            f = VertexEmbedding(x, target, p)
+    for x_pair in zip(x, x_fin):
+        for xi in x_pair:
+            f = VertexEmbedding(xi, target, p)
             val = embedding_ratio(g, f)
             if best is None or val < best.value:
                 best = EmbedEstimate(val, f)
-    if best is None:
-        raise NumericalFailure("no usable starting point")
-    best.starts, best.iterations = starts, total_iters
+    best.starts, best.iterations = len(x), sum(len(trace) - 1 for trace in traces)
     return best
 
 

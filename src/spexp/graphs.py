@@ -10,6 +10,7 @@ boundary, but they do count as edges of the multiset E.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -335,11 +336,16 @@ def shortest_path_metric(g: RegularGraph) -> MetricMatrix:
     return MetricMatrix(dist)
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    return np.triu_indices(n, k=1)  # built once per n
+
+
 def _edge_pair_averages(g: RegularGraph, powers: np.ndarray):
     """(edge average, ordered-pair average) of an (n, n) matrix of p-th
     powers: the pairs i < j weighted by adjacency over |E|, and all n^2
     entries over n^2."""
-    upper = np.triu_indices(g.n, k=1)
+    upper = _upper_pairs(g.n)
     num = float((g.adjacency[upper] * powers[upper]).sum()) / g.edge_count()
     return num, float(powers.sum()) / g.n**2
 

@@ -20,14 +20,14 @@ from .errors import RankDeficient
 ORTHONORMALIZE_TOL = 1e-12
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array.
+def as_matrix(m, name: str = "matrix", ndims=(2,)) -> np.ndarray:
+    """Coerce input to a finite complex128 array whose ndim is in ``ndims``.
 
     Raises InvalidMatrix for wrong dimensionality or NaN/Inf entries.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InvalidMatrix(f"{name} must be 2-D, got ndim={a.ndim}")
+    if a.ndim not in ndims:
+        raise InvalidMatrix(f"{name} must be {'-D or '.join(map(str, ndims))}-D, got ndim={a.ndim}")
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidMatrix(f"{name} contains NaN or Inf entries")
     return a
@@ -123,18 +123,19 @@ def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(a) -> np.ndarray:
-    """Orthonormal basis Q of span(A) with Q*Q = Id.
+    """Orthonormal basis Q of span(A) with Q*Q = Id, for an n x k matrix or
+    each of an (S, n, k) stack (batched, with the bits of a call per matrix).
 
-    Raises RankDeficient when the smallest singular value of A falls below
-    ``ORTHONORMALIZE_TOL`` relative to the largest.
+    Raises RankDeficient when the smallest singular value of a matrix falls
+    below ``ORTHONORMALIZE_TOL`` relative to its largest.
     """
-    a = as_matrix(a, "basis candidate")
-    if a.shape[1] == 0:
+    a = as_matrix(a, "basis candidate", (2, 3))
+    if a.shape[-1] == 0:
         raise RankDeficient("cannot orthonormalize an empty basis")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= ORTHONORMALIZE_TOL * max(1.0, float(s[0])):
+    if np.any(s[..., -1] <= ORTHONORMALIZE_TOL * np.maximum(1.0, s[..., 0])):
         raise RankDeficient(
-            f"smallest singular value {s[-1]:.3e} below rank tolerance"
+            f"smallest singular value {np.min(s[..., -1]):.3e} below rank tolerance"
         )
     q, _ = np.linalg.qr(a)
     return q

@@ -27,25 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    RANK_TOL,
-    BistochasticTuple,
-    Subspace,
-    _rank_threshold,
-    expansion_ratio_sp,
-    rank_numerator,
-    sp_numerator,
-)
+from .channels import RANK_TOL, BistochasticTuple, Subspace, _rank_threshold, check_orthonormal
+from .channels import rank_numerator, restriction_spectra, sp_numerator
 from .errors import (
     DimensionTooLarge,
     InvalidDimension,
     InvalidParameters,
     NonSmoothConfiguration,
     NumericalFailure,
-    RankDeficient,
 )
 from .graphs import _lex_min, _subset_boundaries
-from .linalg import _check_exponent, as_matrix, haar_isometry, orthonormalize, substream
+from .linalg import _check_exponent, _ginibre, _phase_fixed_qr, as_matrix, orthonormalize, substream
+
+# not called here; bound because bench/tracing.py wraps them by attribute
+from .channels import expansion_ratio_sp  # noqa: F401
+from .linalg import haar_isometry  # noqa: F401
 
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
@@ -55,6 +51,8 @@ BACKTRACK = 0.5
 # one subset when its blocks alone are larger; the blocks of a whole size class
 # would not fit (|W| = 12 at n = 24, d = 4: 25 GB)
 _BLOCK_ENTRIES = 1 << 13
+# complex entries of restriction rows per stack of random candidates or restarts
+_CANDIDATE_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -168,33 +166,46 @@ def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Expans
 
     Candidate j of dimension k draws from substream (seed, k, j): the first
     ``samples`` candidates of a larger run are identical to a smaller run, so
-    the minimum is monotone in the sample count.
+    the minimum is monotone in the sample count. Candidates go in ``_stacks``.
     """
     p = _check_exponent(p)
-    n = t.n
 
-    def sample(k, j):
-        return Subspace(haar_isometry(n, k, substream(cfg.seed, k, j)))
+    def candidates(k):
+        return (_haar_stack(t.n, k, cfg.seed, js) for js in _stacks(t, k, cfg.samples))
 
-    value, k, witness = _best_candidate(t, p, cfg, cfg.samples, sample)
+    value, k, witness = _best_candidate(t, p, cfg, candidates)
     return ExpansionEstimate(
         value=value, witness=witness, k=k, p=p, strategy="random-sample",
-        samples_used=len(cfg.dims(n)) * cfg.samples,
+        samples_used=len(cfg.dims(t.n)) * cfg.samples,
     )
 
 
-def _best_candidate(t, p, cfg, count, candidate):
-    """Smallest (ratio, k, index) over candidate(k, index) for every k of the
-    sweep and index < count; returns (value, k, witness)."""
-    best = None  # ((value, k, index), witness)
+def _stacks(t, k, count):
+    """Ranges of the indices 0..count - 1 of k-dim candidates or restarts, each
+    holding about _CANDIDATE_ENTRIES entries of restriction rows (d k n each)."""
+    step = max(1, _CANDIDATE_ENTRIES // (t.d * k * t.n))
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _haar_stack(n, k, seed, indices):
+    """haar_isometry(n, k, substream(seed, k, j)) for j in indices, stacked by one QR."""
+    return _phase_fixed_qr(np.stack([_ginibre(substream(seed, k, j), (n, k)) for j in indices]))
+
+
+def _best_candidate(t, p, cfg, candidates):
+    """Smallest (ratio, k, index) over the (S, n, k) basis stacks candidates(k)
+    yields in index order, each checked and scored with one restriction
+    spectrum, for every k of the sweep; returns (value, k, witness)."""
+    best = None  # (value, k, basis)
     for k in cfg.dims(t.n):
-        for j in range(count):
-            v = candidate(k, j)
-            key = (expansion_ratio_sp(t, v, p).value, k, j)
-            if best is None or key < best[0]:
-                best = (key, v)
-    (value, k, _), witness = best
-    return value, k, witness
+        for q in candidates(k):
+            check_orthonormal(q)
+            values = sp_numerator(restriction_spectra(t.matrices, q[:, None]), p) / float(t.d * k)
+            j = int(np.argmin(values))
+            if best is None or values[j] < best[0]:
+                best = (float(values[j]), k, q[j])
+    value, k, q = best
+    return value, k, Subspace(q.copy())
 
 
 def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
@@ -207,7 +218,8 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
     P = QQ*; the formula extends F smoothly to every n x k matrix for
     epsilon > 0 (and for epsilon = 0 when p >= 2). The gradient is the Riesz
     representer of dF under Re Tr[A* B] at any Q, so its entrywise real/imag
-    parts match central finite differences directly.
+    parts match central finite differences directly. An (S, n, k) stack gives
+    (S,) values and (S, n, k) gradients, each basis the bits it gets alone.
     """
     p = _check_exponent(p)
     epsilon = float(epsilon)
@@ -217,8 +229,8 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
         raise NonSmoothConfiguration(
             "epsilon = 0 makes the Schatten-p objective nonsmooth for p < 2"
         )
-    qm = q.basis if isinstance(q, Subspace) else as_matrix(q, "basis")
-    n = qm.shape[0]
+    qm = q.basis if isinstance(q, Subspace) else as_matrix(q, "basis", (2, 3))
+    n = qm.shape[-2]
     if (t.n, t.n) != (n, n):
         raise InvalidParameters(f"basis rows {n} do not match tuple size {t.n}")
     return _smoothed_objective(t, qm, p, epsilon, True)
@@ -230,9 +242,11 @@ def _adj(a):
 
 def _smoothed_objective(t, qm, p, epsilon, need_grad):
     """F(Q) of ``objective_and_gradient`` on the whole (d, n, n) stack at
-    O(d n^2 k); returns the value, or (value, gradient) with ``need_grad``."""
-    n, k = qm.shape
-    qh = qm.conj().T
+    O(d n^2 k) per basis of an n x k basis or (S, n, k) stack; returns the
+    value(s), or (value(s), gradient(s)) with ``need_grad``."""
+    n, k = qm.shape[-2:]
+    qm = qm[..., None, :, :]  # one basis against every matrix of the tuple
+    qh = _adj(qm)
     w = _adj(qh @ t.matrices)
     s_adj = qh @ w  # S_i* for S_i = Q* B_i Q
     z = w - qm @ s_adj
@@ -240,99 +254,111 @@ def _smoothed_objective(t, qm, p, epsilon, need_grad):
     lam = np.clip(lam, 0.0, None) + epsilon
     # per-matrix terms added in matrix order, as sp_numerator does
     per_matrix = np.sum(lam ** (p / 2.0), axis=-1) + (n - k) * epsilon ** (p / 2.0)
-    value = float(np.cumsum(per_matrix)[-1])
+    value = np.cumsum(per_matrix, axis=-1)[..., -1]
+    value = float(value) if value.ndim == 0 else value
     if not need_grad:
         return value
-    y = p * ((z @ u) * lam[:, None, :] ** (p / 2.0 - 1.0)) @ _adj(u)  # dF = Re Tr[Y* dZ]
+    y = p * ((z @ u) * lam[..., None, :] ** (p / 2.0 - 1.0)) @ _adj(u)  # dF = Re Tr[Y* dZ]
     qhy = qh @ y
     grad = t.matrices @ (y - qm @ qhy) - y @ _adj(s_adj) - w @ _adj(qhy)
-    return value, grad.sum(axis=0)
+    return value, grad.sum(axis=-3)
 
 
 def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iters):
-    """Projected-gradient descent with Armijo backtracking and a retraction.
-
-    ``slope()`` gives the descent direction at x and its squared norm;
-    ``evaluate(y)`` gives the objective at a trial point y and the slope
-    there, which is only called if y is accepted; ``retract(y)`` maps a
-    step back onto the feasible set, or gives None when it cannot. Trial
-    steps start at the last accepted step doubled, capped at
-    ``initial_step``, and halve until the Armijo condition holds. The descent
-    stops when the direction norm is below ``grad_tol`` (relative to max(1,
-    |value|)), when no step is accepted, or after ``max_iters`` accepted
-    steps. Returns the final point and the values at every accepted point.
+    """Projected-gradient descent with Armijo backtracking and a retraction,
+    in lock-step over an (S, ...) stack of starts: each round retracts and
+    evaluates every start still running at once. ``slope(rows)`` gives the
+    directions and their squared norms at rows of the last evaluated stack
+    (first of x); ``evaluate(y)`` gives the values at a stack of trial points
+    and their slope function, called for the accepted rows only;
+    ``retract(y)`` gives the retracted stack and a flag per row it could map.
+    Per start, trial steps begin at its last accepted step doubled, capped at
+    ``initial_step``, and halve until the Armijo condition holds; a start
+    stops when its direction norm is below ``grad_tol`` (relative to max(1,
+    |value|)), when no step above MIN_STEP is accepted, or after
+    ``max_iters`` accepted steps, just as a descent from it alone would.
+    Returns the final points and, per start, the values at accepted points.
     """
-    trace = [value]
-    step = initial_step
-    for _ in range(max_iters):
-        direction, gnorm2 = slope()
-        if np.sqrt(gnorm2) <= grad_tol * max(1.0, abs(value)):
-            break
-        s = step
-        while s > MIN_STEP:
-            y = retract(x - s * direction)
-            if y is not None:
-                v, y_slope = evaluate(y)
-                if not np.isfinite(v):
-                    raise NumericalFailure("non-finite objective during line search")
-                if v <= value - ARMIJO_C1 * s * gnorm2:
-                    break
-            s *= BACKTRACK
-        else:
-            break
-        x, value, slope = y, v, y_slope
-        step = min(2.0 * s, initial_step)
-        trace.append(value)
-    return x, trace
+
+    def steep(rows):  # not "<=", so that a NaN direction fails in the line search
+        return ~(np.sqrt(gnorm2[rows]) <= grad_tol * np.fmax(1.0, np.abs(value[rows])))
+
+    x, value = np.array(x), np.array(value, dtype=np.float64)
+    traces = [[v] for v in value.tolist()]
+    trial = np.full(len(x), float(initial_step))
+    iters = np.zeros(len(x), dtype=np.int64)
+    direction, gnorm2 = slope(np.arange(len(x)))
+    running = steep(slice(None))
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    while running.any():
+        live = np.flatnonzero(running)
+        y, ok = retract(x[live] - trial[live].reshape(shape) * direction[live])
+        y, tried = y[ok], live[ok]
+        v, y_slope = evaluate(y)
+        if not np.all(np.isfinite(v)):
+            raise NumericalFailure("non-finite objective during line search")
+        accept = v <= value[tried] - ARMIJO_C1 * trial[tried] * gnorm2[tried]
+        won = tried[accept]
+        accepted_step = trial[won]
+        trial[live] *= BACKTRACK
+        running[live] = trial[live] > MIN_STEP
+        trial[won] = np.minimum(2.0 * accepted_step, initial_step)
+        x[won], value[won] = y[accept], v[accept]
+        for i, vi in zip(won.tolist(), v[accept].tolist()):
+            traces[i].append(vi)
+        iters[won] += 1
+        more = iters[won] < max_iters
+        running[won[~more]] = False
+        go = won[more]
+        if go.size:
+            direction[go], gnorm2[go] = y_slope(np.flatnonzero(accept)[more])
+            running[go] = steep(go)
+    return x, traces
 
 
-def _descend_subspace(t, q0, p, epsilon, max_iters, restart_tag):
-    """One Riemannian descent from the basis q0; returns (final basis,
-    objective trace)."""
+def _descend_subspace(t, q0, p, epsilon, max_iters, k, restarts):
+    """Lock-step Riemannian descent from the stack q0 of the k-dim restarts
+    numbered ``restarts``; returns (final bases, objective traces)."""
     value, grad = objective_and_gradient(t, q0, p, epsilon)
-    if not np.isfinite(value):
-        raise NumericalFailure(f"non-finite objective at restart {restart_tag}")
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise NumericalFailure(f"non-finite objective at restart k={k},r={restarts[bad[0]]}")
 
     def tangent(qm, grad):
-        # tangent projection on the orthonormal-basis manifold
-        qhg = qm.conj().T @ grad
-        xi = grad - qm @ ((qhg + qhg.conj().T) / 2.0)
-        return xi, float(np.linalg.norm(xi) ** 2)
+        # tangent projection; the norm per basis keeps the bits of np.linalg.norm
+        qhg = _adj(qm) @ grad
+        xi = grad - qm @ ((qhg + _adj(qhg)) / 2.0)
+        return xi, np.array([float(np.linalg.norm(r) ** 2) for r in xi])
 
     def evaluate(qm):
-        def slope():
-            return tangent(qm, objective_and_gradient(t, qm, p, epsilon)[1])
+        def slope(rows):
+            return tangent(qm[rows], objective_and_gradient(t, qm[rows], p, epsilon)[1])
 
         return _smoothed_objective(t, qm, p, epsilon, False), slope
 
-    def retract(y):
-        try:
-            return orthonormalize(y)
-        except RankDeficient:
-            return None
-
+    # no retraction fails: Q*(Q - s X) = Id - s Q*X, Q*X skew-Hermitian
     return descend(
-        q0, value, lambda: tangent(q0, grad), evaluate, retract,
+        q0, value, lambda rows: tangent(q0[rows], grad[rows]), evaluate,
+        lambda y: (orthonormalize(y), np.ones(len(y), dtype=bool)),
         initial_step=1.0, grad_tol=1e-8, max_iters=max_iters,
     )
 
 
 def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> ExpansionEstimate:
-    """Multi-restart Riemannian descent; reports the unsmoothed ratio at the
-    best final witness."""
+    """Multi-restart Riemannian descent, the restarts of each k as one
+    lock-step stack; reports the unsmoothed ratio at the best final witness."""
     p = _check_exponent(p)
-    n = t.n
     iterations = 0
 
-    def restart(k, r):
+    def restarts(k):
         nonlocal iterations
-        q0 = haar_isometry(n, k, substream(cfg.seed, k, r))
-        qm, trace = _descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, f"k={k},r={r}")
-        iterations += len(trace) - 1
-        return Subspace(qm)
+        for rs in _stacks(t, k, cfg.restarts):
+            q0 = _haar_stack(t.n, k, cfg.seed, rs)
+            qm, traces = _descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, k, rs)
+            iterations += sum(len(trace) - 1 for trace in traces)
+            yield qm
 
-    value, k, witness = _best_candidate(t, p, cfg, cfg.restarts, restart)
+    value, k, witness = _best_candidate(t, p, cfg, restarts)
     return ExpansionEstimate(
         value=value, witness=witness, k=k, p=p, strategy="riemannian", iterations=iterations
     )
-

@@ -120,7 +120,11 @@ def embedding_from_json(obj) -> VertexEmbedding:
             images = [matrix_from_json(img) for img in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameters(f"malformed embedding object: {exc}") from exc
-    return VertexEmbedding(images, target, p)
+    f = VertexEmbedding(images, target, p)
+    for key, size in (("n", f.n), ("m", f.m)):
+        if key in obj and int(as_integers(obj[key], key)) != size:
+            raise InvalidParameters(f"declared {key}={obj[key]} but the images give {key}={size}")
+    return f
 
 
 def subspace_to_json(v: Subspace) -> dict:

@@ -94,6 +94,9 @@ def test_embedding_ratio_rejects_constant_map():
     f = VertexEmbedding([np.zeros(2)] * 4, TARGET_LP, 1.0)
     with pytest.raises(DegenerateEmbedding):
         embedding_ratio(g, f)
+    for target, shape in ((TARGET_LP, (4, 0)), (TARGET_SP, (4, 0, 0))):  # images of no entries
+        with pytest.raises(DegenerateEmbedding):
+            embedding_ratio(g, VertexEmbedding(np.zeros(shape), target, 1.0))
 
 
 def test_embedding_ratio_rejects_size_mismatch():

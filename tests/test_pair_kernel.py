@@ -2,7 +2,9 @@
 reference versions in util.py: identical bits for the l_p objective and
 normalization, agreement to rounding for the Schatten objective and
 normalization, and for the embedding ratio and distortion of both targets,
-whose reported pairs are identical."""
+whose reported pairs are identical. The Schatten kernel decomposes each
+unordered pair once and mirrors it; it gives the bits of the kernel that
+decomposes every ordered pair."""
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from util import (
     reference_normalize_lp,
     reference_normalize_sp,
     reference_sp_parts,
+    reference_sp_powers_full,
+    reference_sp_smoothed_full,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -58,7 +62,14 @@ def _close(a, b):
 
 
 def _parts(x, p, target, w, n2, edges):
-    return embed._parts(x, w, p, EPSILON, n2, edges, embed._SMOOTHED[target])
+    """The objective parts of the single start x, as a stack of one."""
+    parts = embed._parts(x[None], w, p, EPSILON, n2, edges, embed._SMOOTHED[target])
+    return tuple(a[0] for a in parts)
+
+
+def _normalize(x, p, powers):
+    z, ok = embed._normalize(x[None], p, powers)
+    return z[0] if ok[0] else None
 
 
 @SETTINGS
@@ -70,8 +81,21 @@ def test_lp_parts_and_normalize_keep_their_bits(case):
     want = reference_lp_parts(x, w, p, EPSILON, n2, edges)
     assert got[0] == want[0] and got[1] == want[1]
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-    normalized = embed._normalize(x, p, embed._lp_powers)
+    normalized = _normalize(x, p, embed._lp_powers)
     assert np.array_equal(normalized, reference_normalize_lp(x, p))
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 2), (0, 5, 2, 2)])
+def test_parts_and_normalize_of_an_empty_stack(shape):
+    # a line-search round whose every trial fails to normalize evaluates no start
+    g = random_regular(5, 2, 0)
+    w, n2, edges = _objective_inputs(g)
+    target = TARGET_LP if len(shape) == 3 else TARGET_SP
+    smoothed, powers = embed._SMOOTHED[target], embed._POWERS[target]
+    num, den, gnum, gden = embed._parts(np.zeros(shape), w, 1.5, EPSILON, n2, edges, smoothed)
+    assert num.shape == den.shape == (0,) and gnum.shape == gden.shape == shape
+    x, ok = embed._normalize(np.zeros(shape), 1.5, powers)
+    assert x.shape == shape and ok.shape == (0,)
 
 
 def test_lp_parts_and_normalize_keep_their_bits_across_row_blocks():
@@ -80,12 +104,12 @@ def test_lp_parts_and_normalize_keep_their_bits_across_row_blocks():
     g = random_regular(600, 4, 5)
     x = rng.standard_normal((600, 12))
     w, n2, edges = _objective_inputs(g)
-    assert len(list(embed._pair_blocks(x))) == 2
+    assert len(list(embed._pair_blocks(x[None]))) == 2
     got = _parts(x, 1.5, TARGET_LP, w, n2, edges)
     want = reference_lp_parts(x, w, 1.5, EPSILON, n2, edges)
     assert got[:2] == want[:2]
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-    normalized = embed._normalize(x, 3.0, embed._lp_powers)
+    normalized = _normalize(x, 3.0, embed._lp_powers)
     assert np.array_equal(normalized, reference_normalize_lp(x, 3.0))
 
 
@@ -98,7 +122,29 @@ def test_sp_parts_and_normalize_match_the_pair_loops(case):
     want = reference_sp_parts(x, w, p, EPSILON, n2, edges)
     for a, b in zip(got, want):
         assert _close(a, b)
-    assert _close(embed._normalize(x, p, embed._sp_powers), reference_normalize_sp(x, p))
+    assert _close(_normalize(x, p, embed._sp_powers), reference_normalize_sp(x, p))
+
+
+@SETTINGS
+@given(cases(targets=(TARGET_SP,)), st.integers(1, 3), st.sampled_from([None, 50, 300]))
+def test_mirrored_sp_kernel_equals_the_full_pair_kernel(case, starts, entries):
+    # entries=50 or 300: row blocks, so pairs j < lo of a block are decomposed directly
+    g, x, p, _ = case
+    stack = np.stack([x * (1.0 + 0.5 * s) for s in range(starts)])
+    w, n2, edges = _objective_inputs(g)
+
+    def full(diff, lo, p, eps):
+        return reference_sp_smoothed_full(diff, p, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if entries is not None:
+            mp.setattr(embed, "_PAIR_ENTRIES", entries)
+        got = embed._parts(stack, w, p, EPSILON, n2, edges, embed._sp_smoothed)
+        want = embed._parts(stack, w, p, EPSILON, n2, edges, full)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        for _, _, lo, _, diff in embed._pair_blocks(stack):
+            assert np.array_equal(embed._sp_powers(diff, lo, p), reference_sp_powers_full(diff, p))
 
 
 @SETTINGS
@@ -152,6 +198,6 @@ def test_objective_is_the_reported_ratio_on_directed_graphs(target, shape):
     g = random_regular(8, 2, 3, symmetric=False)
     assert not np.array_equal(g.adjacency, g.adjacency.T)
     x = np.random.default_rng(4).standard_normal(shape)
-    _, trace = embed._descend_embedding(g, x, 2.0, 1, target)
+    _, (trace,) = embed._descend_embedding(g, x[None], 2.0, 1, target)
     ratio = embedding_ratio(g, VertexEmbedding(list(x), target, 2.0))
     assert trace[0] == pytest.approx(ratio**2, rel=1e-8)

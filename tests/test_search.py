@@ -169,25 +169,17 @@ def test_riemannian_cycle_beats_coordinate_witness():
 def _descent_traces(objective, max_iters):
     """Objective traces of the shared descent engine on each of its callers."""
     if objective == "riemannian":
-        # the four restarts minimize_riemannian runs at k=2, seed=7
+        # the four restarts minimize_riemannian runs at k=2, seed=7, as one stack
         t = random_unitary_tuple(8, 2, seed=8)
-        return [
-            search._descend_subspace(
-                t, haar_isometry(8, 2, substream(7, 2, r)), 2.0, 1e-10, max_iters, r
-            )[1]
-            for r in range(4)
-        ]
+        q0 = np.stack([haar_isometry(8, 2, substream(7, 2, r)) for r in range(4)])
+        return search._descend_subspace(t, q0, 2.0, 1e-10, max_iters, 2, range(4))[1]
     target, shape = {
         "lp": (embed.TARGET_LP, (8, 3)),
         "sp": (embed.TARGET_SP, (8, 2, 2)),
     }[objective]
     rng = np.random.default_rng(7)
-    return [
-        embed._descend_embedding(
-            build_cycle(8), rng.standard_normal(shape), 1.5, max_iters, target
-        )[1]
-        for _ in range(3)
-    ]
+    x = np.stack([rng.standard_normal(shape) for _ in range(3)])
+    return embed._descend_embedding(build_cycle(8), x, 1.5, max_iters, target)[1]
 
 
 @pytest.mark.parametrize("objective", ["riemannian", "lp", "sp"])
@@ -195,6 +187,7 @@ def _descent_traces(objective, max_iters):
 def test_descent_traces_nonincreasing(objective, max_iters):
     traces = _descent_traces(objective, max_iters)
     assert traces
+    assert len(traces) == (4 if objective == "riemannian" else 3)
     for trace in traces:
         assert 1 <= len(trace) <= max_iters + 1
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))

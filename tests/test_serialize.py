@@ -130,6 +130,19 @@ def test_embedding_roundtrip_both_targets():
     np.testing.assert_array_equal(again_sp.images[0], np.eye(2))
 
 
+def test_embedding_declared_sizes_must_match_the_images():
+    images = [[0.0, 1.0], [2.0, 3.0]]
+    for declared in ({"n": 5, "m": 7}, {"n": 5}, {"m": 7}, {"n": 2, "m": 3}, {"n": 2.5}):
+        with pytest.raises(InvalidParameters):
+            embedding_from_json({"target": TARGET_LP, "p": 2, "images": images, **declared})
+    sp = embedding_to_json(VertexEmbedding([np.eye(2), np.zeros((2, 2))], TARGET_SP, 2.0))
+    with pytest.raises(InvalidParameters, match="declared m=3"):
+        embedding_from_json({**sp, "m": 3})
+    for declared in ({}, {"n": 2}, {"m": 2}, {"n": 2.0, "m": 2}):
+        f = embedding_from_json({"target": TARGET_LP, "p": 2, "images": images, **declared})
+        assert (f.n, f.m) == (2, 2)
+
+
 def test_estimate_serialization_includes_witness_basis():
     est = minimize_coordinate(cycle_tuple(8), 2.0, mode="sp")
     doc = estimate_to_json(est)

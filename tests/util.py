@@ -7,10 +7,12 @@ from itertools import combinations
 import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
-from spexp import verify
-from spexp.channels import RANK_TOL, restriction_singular_values
-from spexp.embed import TARGET_LP
-from spexp.linalg import haar_isometry, haar_unitary, substream
+from spexp import embed, verify
+from spexp.channels import RANK_TOL, expansion_ratio_sp, restriction_singular_values
+from spexp.embed import EPSILON, TARGET_LP
+from spexp.errors import NumericalFailure, RankDeficient
+from spexp.linalg import haar_isometry, haar_unitary, orthonormalize, substream
+from spexp.search import ARMIJO_C1, BACKTRACK, MIN_STEP, _smoothed_objective, objective_and_gradient
 from spexp.serialize import matrix_to_json, tuple_to_json
 from spexp.verify import CHECKERS, RATIO_TOL, SINGULAR_TOL
 
@@ -449,3 +451,117 @@ def tangent_part(qm, grad):
     orthonormal-basis manifold at Q."""
     qhg = qm.conj().T @ grad
     return grad - qm @ ((qhg + qhg.conj().T) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference descent: one start at a time, the loop the lock-step engine
+# replaced, and the per-start closures of its two callers.
+# ---------------------------------------------------------------------------
+
+
+def reference_descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iters):
+    """Armijo descent of one start. ``slope()`` gives the direction at x and
+    its squared norm; ``evaluate(y)`` gives the value at y and the slope
+    there; ``retract(y)`` gives a feasible point or None. Returns (final
+    point, values at every accepted point, stop reason)."""
+    trace = [value]
+    step = initial_step
+    for _ in range(max_iters):
+        direction, gnorm2 = slope()
+        if np.sqrt(gnorm2) <= grad_tol * max(1.0, abs(value)):
+            return x, trace, "grad_tol"
+        s = step
+        while s > MIN_STEP:
+            y = retract(x - s * direction)
+            if y is not None:
+                v, y_slope = evaluate(y)
+                if not np.isfinite(v):
+                    raise NumericalFailure("non-finite objective during line search")
+                if v <= value - ARMIJO_C1 * s * gnorm2:
+                    break
+            s *= BACKTRACK
+        else:
+            return x, trace, "no_step"
+        x, value, slope = y, v, y_slope
+        step = min(2.0 * s, initial_step)
+        trace.append(value)
+    return x, trace, "max_iters"
+
+
+def reference_embedding_descent(g, x, p, max_iters, target):
+    """Descent of the smoothed quotient ratio from the one normalized start
+    x, with the embedding kernels applied to a stack of that start alone."""
+    smoothed, powers = embed._SMOOTHED[target], embed._POWERS[target]
+    upper = np.triu(g.adjacency, k=1).astype(np.float64)
+    w = upper + upper.T
+    n2, edges = g.n * g.n, float(g.edge_count())
+
+    def evaluate(y):
+        parts = embed._parts(y[None], w, p, EPSILON, n2, edges, smoothed)
+        num, den, gnum, gden = (a[0] for a in parts)
+
+        def slope():
+            grad = (gnum - num / den * gden) / den
+            return grad, float(np.sum(grad**2))
+
+        return float(num / den), slope
+
+    def retract(y):
+        z, ok = embed._normalize(y[None], p, powers)
+        return z[0] if ok[0] else None
+
+    value, slope = evaluate(x)
+    return reference_descend(x, value, slope, evaluate, retract, 0.5, 1e-9, max_iters)
+
+
+def reference_subspace_descent(t, q0, p, epsilon, max_iters):
+    """Riemannian descent from the one basis q0, with the unstacked objective
+    and retraction."""
+
+    def tangent(qm, grad):
+        xi = tangent_part(qm, grad)
+        return xi, float(np.linalg.norm(xi) ** 2)
+
+    def evaluate(qm):
+        def slope():
+            return tangent(qm, objective_and_gradient(t, qm, p, epsilon)[1])
+
+        return _smoothed_objective(t, qm, p, epsilon, False), slope
+
+    def retract(y):
+        try:
+            return orthonormalize(y)
+        except RankDeficient:
+            return None
+
+    value, grad = objective_and_gradient(t, q0, p, epsilon)
+    return reference_descend(
+        q0, value, lambda: tangent(q0, grad), evaluate, retract, 1.0, 1e-8, max_iters
+    )
+
+
+def reference_random_search(t, p, cfg):
+    """(value, k, basis) of the random strategy one candidate at a time: a
+    Haar draw and a ratio per candidate, the first minimum in (k, j) order."""
+    best = None
+    for k in cfg.dims(t.n):
+        for j in range(cfg.samples):
+            q = haar_isometry(t.n, k, substream(cfg.seed, k, j))
+            value = expansion_ratio_sp(t, Subspace(q), p).value
+            if best is None or value < best[0]:
+                best = (value, k, q)
+    return best
+
+
+def reference_sp_smoothed_full(diff, p, eps):
+    """The Schatten smoothed terms and gradient with one eigh per ordered
+    pair of the block, diagonal included."""
+    lam, u = np.linalg.eigh(diff @ diff.swapaxes(-1, -2))
+    lam = np.clip(lam, 0.0, None) + eps
+    h = (u * (lam ** (p / 2.0 - 1.0))[..., None, :]) @ u.swapaxes(-1, -2)
+    return lam ** (p / 2.0), p * (h @ diff)
+
+
+def reference_sp_powers_full(diff, p):
+    """The Schatten p-th power terms with one SVD per ordered pair."""
+    return np.linalg.svd(diff, compute_uv=False) ** p
