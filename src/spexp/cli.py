@@ -167,8 +167,8 @@ def _cmd_expansion(args) -> int:
         epsilon=args.epsilon,
         seed=args.seed,
     )
-    if not np.isfinite(args.p):
-        raise InvalidParameters(f"--p must be finite, got {args.p}")
+    if not (np.isfinite(args.p) and args.p >= 1):
+        raise InvalidParameters(f"--p must be finite and >= 1, got {args.p}")
     doc = _load_json(args.input)
     if args.mode == "classical":
         g = graph_from_json(doc.get("graph", doc))

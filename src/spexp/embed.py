@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graphs import MetricMatrix, RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
 from .graphs import metric_ratio, shortest_path_metric
-from .linalg import _check_exponent, substream
+from .linalg import _check_exponent, as_integers, substream
 from .search import descend
 
 TARGET_LP = "vector-lp"
@@ -226,6 +226,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            setattr(self, name, int(as_integers(getattr(self, name), name)))
         if self.restarts < 0 or self.max_iters < 1:
             raise InvalidParameters("counts must be positive")
 
@@ -325,16 +327,11 @@ def _descend_embedding(g, x, p, max_iters, target):
     def evaluate(x):
         num, den, gnum, gden = _parts(x, w, p, EPSILON, g.n * g.n, edge_count, smoothed)
         value = num / den
+        grad = (gnum - value.reshape(shape) * gden) / den.reshape(shape)
+        return value, grad, (grad**2).reshape(len(grad), -1).sum(axis=1)
 
-        def slope(rows):
-            grad = (gnum[rows] - value[rows].reshape(shape) * gden[rows]) / den[rows].reshape(shape)
-            return grad, (grad**2).reshape(len(grad), -1).sum(axis=1)
-
-        return value, slope
-
-    value, slope = evaluate(x)
     return descend(
-        x, value, slope, evaluate, lambda y: _normalize(y, p, powers),
+        x, evaluate(x), evaluate, lambda y: _normalize(y, p, powers),
         initial_step=0.5, grad_tol=1e-9, max_iters=max_iters,
     )
 

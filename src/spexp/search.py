@@ -37,7 +37,8 @@ from .errors import (
     NumericalFailure,
 )
 from .graphs import _lex_min, _subset_boundaries
-from .linalg import _check_exponent, _ginibre, _phase_fixed_qr, as_matrix, orthonormalize, substream
+from .linalg import _check_exponent, _ginibre, _phase_fixed_qr, as_integers, as_matrix
+from .linalg import orthonormalize, substream
 
 # not called here; bound because bench/tracing.py wraps them by attribute
 from .channels import expansion_ratio_sp  # noqa: F401
@@ -65,9 +66,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k is not None and (
-            not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1
-        ):
+        if self.k is not None:
+            self.k = int(as_integers(self.k, "k"))
+        for name in ("samples", "restarts", "max_iters", "seed"):
+            setattr(self, name, int(as_integers(getattr(self, name), name)))
+        if self.k is not None and self.k < 1:
             raise InvalidParameters(f"k must be an integer >= 1 or None, got {self.k!r}")
         if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:
             raise InvalidParameters("counts must be >= 1")
@@ -219,7 +222,8 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
     epsilon > 0 (and for epsilon = 0 when p >= 2). The gradient is the Riesz
     representer of dF under Re Tr[A* B] at any Q, so its entrywise real/imag
     parts match central finite differences directly. An (S, n, k) stack gives
-    (S,) values and (S, n, k) gradients, each basis the bits it gets alone.
+    (S,) values and (S, n, k) gradients, each basis the bits it gets alone,
+    at O(d n^2 k) per basis.
     """
     p = _check_exponent(p)
     epsilon = float(epsilon)
@@ -230,21 +234,9 @@ def objective_and_gradient(t: BistochasticTuple, q, p: float, epsilon: float):
             "epsilon = 0 makes the Schatten-p objective nonsmooth for p < 2"
         )
     qm = q.basis if isinstance(q, Subspace) else as_matrix(q, "basis", (2, 3))
-    n = qm.shape[-2]
+    n, k = qm.shape[-2:]
     if (t.n, t.n) != (n, n):
         raise InvalidParameters(f"basis rows {n} do not match tuple size {t.n}")
-    return _smoothed_objective(t, qm, p, epsilon, True)
-
-
-def _adj(a):
-    return np.swapaxes(a, -1, -2).conj()
-
-
-def _smoothed_objective(t, qm, p, epsilon, need_grad):
-    """F(Q) of ``objective_and_gradient`` on the whole (d, n, n) stack at
-    O(d n^2 k) per basis of an n x k basis or (S, n, k) stack; returns the
-    value(s), or (value(s), gradient(s)) with ``need_grad``."""
-    n, k = qm.shape[-2:]
     qm = qm[..., None, :, :]  # one basis against every matrix of the tuple
     qh = _adj(qm)
     w = _adj(qh @ t.matrices)
@@ -255,23 +247,23 @@ def _smoothed_objective(t, qm, p, epsilon, need_grad):
     # per-matrix terms added in matrix order, as sp_numerator does
     per_matrix = np.sum(lam ** (p / 2.0), axis=-1) + (n - k) * epsilon ** (p / 2.0)
     value = np.cumsum(per_matrix, axis=-1)[..., -1]
-    value = float(value) if value.ndim == 0 else value
-    if not need_grad:
-        return value
     y = p * ((z @ u) * lam[..., None, :] ** (p / 2.0 - 1.0)) @ _adj(u)  # dF = Re Tr[Y* dZ]
     qhy = qh @ y
     grad = t.matrices @ (y - qm @ qhy) - y @ _adj(s_adj) - w @ _adj(qhy)
-    return value, grad.sum(axis=-3)
+    return (float(value) if value.ndim == 0 else value), grad.sum(axis=-3)
 
 
-def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iters):
+def _adj(a):
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def descend(x, first, evaluate, retract, initial_step, grad_tol, max_iters):
     """Projected-gradient descent with Armijo backtracking and a retraction,
     in lock-step over an (S, ...) stack of starts: each round retracts and
-    evaluates every start still running at once. ``slope(rows)`` gives the
-    directions and their squared norms at rows of the last evaluated stack
-    (first of x); ``evaluate(y)`` gives the values at a stack of trial points
-    and their slope function, called for the accepted rows only;
-    ``retract(y)`` gives the retracted stack and a flag per row it could map.
+    evaluates every start still running at once. ``evaluate(y)`` gives, at
+    every row of a stack of points, the value, the descent direction and its
+    squared norm; ``first`` is its result at x. ``retract(y)`` gives the
+    retracted stack and a flag per row it could map.
     Per start, trial steps begin at its last accepted step doubled, capped at
     ``initial_step``, and halve until the Armijo condition holds; a start
     stops when its direction norm is below ``grad_tol`` (relative to max(1,
@@ -283,18 +275,18 @@ def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iter
     def steep(rows):  # not "<=", so that a NaN direction fails in the line search
         return ~(np.sqrt(gnorm2[rows]) <= grad_tol * np.fmax(1.0, np.abs(value[rows])))
 
-    x, value = np.array(x), np.array(value, dtype=np.float64)
+    x = np.array(x)
+    value, direction, gnorm2 = (np.array(a) for a in first)
     traces = [[v] for v in value.tolist()]
     trial = np.full(len(x), float(initial_step))
     iters = np.zeros(len(x), dtype=np.int64)
-    direction, gnorm2 = slope(np.arange(len(x)))
     running = steep(slice(None))
     shape = (-1,) + (1,) * (x.ndim - 1)
     while running.any():
         live = np.flatnonzero(running)
         y, ok = retract(x[live] - trial[live].reshape(shape) * direction[live])
         y, tried = y[ok], live[ok]
-        v, y_slope = evaluate(y)
+        v, y_direction, y_gnorm2 = evaluate(y)
         if not np.all(np.isfinite(v)):
             raise NumericalFailure("non-finite objective during line search")
         accept = v <= value[tried] - ARMIJO_C1 * trial[tried] * gnorm2[tried]
@@ -304,42 +296,32 @@ def descend(x, value, slope, evaluate, retract, initial_step, grad_tol, max_iter
         running[live] = trial[live] > MIN_STEP
         trial[won] = np.minimum(2.0 * accepted_step, initial_step)
         x[won], value[won] = y[accept], v[accept]
+        direction[won], gnorm2[won] = y_direction[accept], y_gnorm2[accept]
         for i, vi in zip(won.tolist(), v[accept].tolist()):
             traces[i].append(vi)
         iters[won] += 1
-        more = iters[won] < max_iters
-        running[won[~more]] = False
-        go = won[more]
-        if go.size:
-            direction[go], gnorm2[go] = y_slope(np.flatnonzero(accept)[more])
-            running[go] = steep(go)
+        running[won] = (iters[won] < max_iters) & steep(won)
     return x, traces
 
 
 def _descend_subspace(t, q0, p, epsilon, max_iters, k, restarts):
     """Lock-step Riemannian descent from the stack q0 of the k-dim restarts
     numbered ``restarts``; returns (final bases, objective traces)."""
-    value, grad = objective_and_gradient(t, q0, p, epsilon)
-    bad = np.flatnonzero(~np.isfinite(value))
-    if bad.size:
-        raise NumericalFailure(f"non-finite objective at restart k={k},r={restarts[bad[0]]}")
-
-    def tangent(qm, grad):
-        # tangent projection; the norm per basis keeps the bits of np.linalg.norm
-        qhg = _adj(qm) @ grad
-        xi = grad - qm @ ((qhg + _adj(qhg)) / 2.0)
-        return xi, np.array([float(np.linalg.norm(r) ** 2) for r in xi])
 
     def evaluate(qm):
-        def slope(rows):
-            return tangent(qm[rows], objective_and_gradient(t, qm[rows], p, epsilon)[1])
+        value, grad = objective_and_gradient(t, qm, p, epsilon)
+        qhg = _adj(qm) @ grad  # tangent projection of the gradient
+        xi = grad - qm @ ((qhg + _adj(qhg)) / 2.0)
+        # the norm per basis keeps the bits of np.linalg.norm
+        return value, xi, np.array([float(np.linalg.norm(r) ** 2) for r in xi])
 
-        return _smoothed_objective(t, qm, p, epsilon, False), slope
-
+    first = evaluate(q0)
+    bad = np.flatnonzero(~np.isfinite(first[0]))
+    if bad.size:
+        raise NumericalFailure(f"non-finite objective at restart k={k},r={restarts[bad[0]]}")
     # no retraction fails: Q*(Q - s X) = Id - s Q*X, Q*X skew-Hermitian
     return descend(
-        q0, value, lambda rows: tangent(q0[rows], grad[rows]), evaluate,
-        lambda y: (orthonormalize(y), np.ones(len(y), dtype=bool)),
+        q0, first, evaluate, lambda y: (orthonormalize(y), np.ones(len(y), dtype=bool)),
         initial_step=1.0, grad_tol=1e-8, max_iters=max_iters,
     )
 

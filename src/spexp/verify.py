@@ -45,6 +45,7 @@ from .linalg import (  # noqa: F401
     _check_exponent,
     _ginibre,
     _phase_fixed_qr,
+    as_integers,
     haar_isometry,
     haar_unitary,
     substream,
@@ -141,6 +142,10 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("instances", "seed"):
+            setattr(self, name, int(as_integers(getattr(self, name), name)))
+        for name in ("n_range", "d_range"):
+            setattr(self, name, tuple(as_integers(getattr(self, name), name).tolist()))
         (n_min, n_max), (d_min, d_max), (p_min, p_max) = self.n_range, self.d_range, self.p_range
         if self.instances < 0:
             raise InvalidParameters(f"instances must be >= 0, got {self.instances}")

@@ -157,10 +157,14 @@ def test_expansion_payload_names_the_strategy(strategy, name, tmp_path, capsys):
         (["{tuple}", "--mode", "Q", "--epsilon", "nan"], "epsilon"),
         (["{graph}", "--mode", "classical", "--p", "inf"], "--p"),
         (["{tuple}", "--mode", "dim", "--p", "nan"], "--p"),
+        (["{graph}", "--mode", "classical", "--p", "0.5"], "--p"),
+        (["{tuple}", "--mode", "Q", "--p", "0.5"], "--p"),
+        (["{tuple}", "--mode", "dim", "--p", "0.5"], "--p"),
     ],
 )
 def test_expansion_unused_non_finite_option_is_input_error(argv, option, tmp_path, capsys):
-    # every option lands in the manifest, whose JSON has no NaN or infinity
+    # every option lands in the manifest, whose JSON has no NaN or infinity,
+    # and an exponent below 1 is out of range wherever it would be used
     graph, tup = tmp_path / "c8.json", tmp_path / "t8.json"
     run_cli(["gen", "cycle", "--n", "8", "--out", str(graph), "--quiet"])
     run_cli(["gen", "permutation-tuple", "--n", "8", "--out", str(tup), "--quiet"])

@@ -144,6 +144,20 @@ def test_distortion_times_metric_ratio_dominates_embedding_ratio():
 FAST = OptimizerConfig(restarts=4, max_iters=200, seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"restarts": 1.5}, {"restarts": True}, {"max_iters": 0}, {"seed": 2.5}, {"restarts": -1}],
+)
+def test_optimizer_config_refuses_bad_counts(bad):
+    with pytest.raises(InvalidParameters):
+        OptimizerConfig(**bad)
+
+
+def test_optimizer_config_stores_integral_values_as_ints():
+    cfg = OptimizerConfig(restarts=np.int64(2), max_iters=3.0, seed=np.int32(1))
+    assert [type(v) for v in (cfg.restarts, cfg.max_iters, cfg.seed)] == [int] * 3
+
+
 def test_lp_estimate_c4_p1():
     est = lp_expansion_estimate(build_cycle(4), 1.0, 4, FAST)
     assert 1.0 - 1e-9 <= est.value <= 1.15

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spexp import Subspace, embed, expansion_ratio_sp, minimize_random, minimize_riemannian
 from spexp import random_regular, random_unitary_tuple, search
+from spexp.errors import NumericalFailure
 from spexp.embed import TARGET_LP, TARGET_SP, OptimizerConfig
 from spexp.linalg import haar_isometry, substream
 from spexp.search import SearchConfig, descend
@@ -43,13 +44,13 @@ def _toy_feasible(y):
     return np.sqrt((y[..., 1:] ** 2).sum(axis=-1)) <= RADIUS
 
 
-def _toy_stack(x, max_iters):
-    def evaluate(y):
-        return _toy_value(y), lambda rows: _toy_direction(y[rows])
+def _toy_evaluate(y):
+    return (_toy_value(y), *_toy_direction(y))
 
+
+def _toy_stack(x, max_iters):
     return descend(
-        x, _toy_value(x), lambda rows: _toy_direction(x[rows]), evaluate,
-        lambda y: (y.copy(), _toy_feasible(y)),
+        x, _toy_evaluate(x), _toy_evaluate, lambda y: (y.copy(), _toy_feasible(y)),
         initial_step=1.0, grad_tol=1e-9, max_iters=max_iters,
     )
 
@@ -103,6 +104,17 @@ def test_lockstep_toy_descents_equal_solo_runs(starts, max_iters, seed):
     _assert_solo(x_fin, traces, [_toy_solo(row, max_iters) for row in x])
 
 
+def test_descend_refuses_a_non_finite_trial_value():
+    x = np.array([[1.0, 2.0, 1.0, 0.5]])
+
+    def evaluate(y):
+        return (np.full(len(y), np.inf), *_toy_direction(y))
+
+    with pytest.raises(NumericalFailure, match="non-finite objective during line search"):
+        descend(x, _toy_evaluate(x), evaluate, lambda y: (y, np.ones(len(y), dtype=bool)),
+                initial_step=1.0, grad_tol=1e-9, max_iters=5)
+
+
 def _embedding_starts(g, target, m, p):
     """The normalized starts of an estimate and one start of coincident
     images, which normalization drops."""
@@ -149,6 +161,13 @@ def test_best_of_starts_counts_only_the_starts_it_descends():
     assert est.starts == 2 and est.iterations <= 10
 
 
+def test_best_of_starts_refuses_when_every_start_coincides():
+    g = random_regular(10, 4, 3)
+    inits = [np.ones((10, 2)), np.zeros((10, 2)), np.full((10, 2), -3.0)]
+    with pytest.raises(NumericalFailure, match="no usable starting point"):
+        embed._best_of_starts(g, inits, 1.5, OptimizerConfig(max_iters=5), TARGET_LP)
+
+
 @pytest.mark.parametrize("entries", [None, 100])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_riemannian_stacks_equal_solo_descents(monkeypatch, p, entries):
@@ -182,3 +201,27 @@ def test_random_candidate_stacks_equal_one_at_a_time(monkeypatch, k, entries):
         value, best_k, basis = reference_random_search(t, p, cfg)
         assert (est.value, est.k) == (value, best_k)
         assert np.array_equal(est.witness.basis, basis)
+
+
+def test_riemannian_makes_one_objective_call_per_round(monkeypatch):
+    # the objective sees each stack of restarts once, then in every
+    # line-search round each retracted trial row, accepted or not, once
+    seen, tried = [], []
+    objective, retract = search.objective_and_gradient, search.orthonormalize
+
+    def counted_objective(t, q, p, epsilon):
+        seen.append(len(q))
+        return objective(t, q, p, epsilon)
+
+    def counted_retract(y):
+        tried.append(len(y))
+        return retract(y)
+
+    monkeypatch.setattr(search, "objective_and_gradient", counted_objective)
+    monkeypatch.setattr(search, "orthonormalize", counted_retract)
+    cfg = SearchConfig(restarts=3, max_iters=30, seed=5)
+    est = minimize_riemannian(random_unitary_tuple(8, 3, seed=2), 1.5, cfg)
+    stacks = len(cfg.dims(8))
+    assert len(seen) == stacks + len(tried)
+    assert sum(seen) == stacks * cfg.restarts + sum(tried)
+    assert sum(tried) > est.iterations  # some trial rows were rejected

@@ -17,7 +17,7 @@ from spexp import (
     tuple_from_permutations,
 )
 from spexp.errors import InvalidParameters
-from spexp.search import _smoothed_objective, objective_and_gradient
+from spexp.search import objective_and_gradient
 
 from util import finite_difference_gradient, reference_objective_and_gradient, tangent_part
 
@@ -66,7 +66,6 @@ def test_kernel_matches_per_matrix_reference(t, exponent, data):
     value, grad = objective_and_gradient(t, q, p, eps)
     _assert_close(value, ref_value, 1e-11, t, p, eps)
     _assert_close(tangent_part(q, grad), tangent_part(q, ref_grad), 1e-10, t, p, eps)
-    assert _smoothed_objective(t, q, p, eps, False) == value
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -19,6 +19,7 @@ from spexp.errors import (
     InstanceTooLarge,
     InvalidParameters,
     NonSmoothConfiguration,
+    NumericalFailure,
 )
 from spexp import embed, search
 from spexp.linalg import haar_isometry, haar_unitary, substream
@@ -249,6 +250,24 @@ def test_search_config_validation():
     for epsilon in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidParameters):
             SearchConfig(epsilon=epsilon)
+    # counts and seeds are integers, never truncated or read from booleans
+    for bad in ({"max_iters": 2.5}, {"samples": True}, {"samples": 2.5}, {"restarts": True},
+                {"seed": 1.9}, {"seed": "1"}, {"max_iters": float("inf")}):
+        with pytest.raises(InvalidParameters):
+            SearchConfig(**bad)
+    cfg = SearchConfig(k=2.0, samples=np.int64(3), restarts=4.0, max_iters=np.int32(5), seed=6.0)
+    values = (cfg.k, cfg.samples, cfg.restarts, cfg.max_iters, cfg.seed)
+    assert values == (2, 3, 4, 5, 6) and {type(v) for v in values} == {int}
+    t = random_unitary_tuple(6, 2, seed=1)
+    used = minimize_random(t, 2.0, SearchConfig(k=2, samples=np.int64(3))).samples_used
+    assert used == 3 and type(used) is int
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_riemannian_overflowing_objective_names_the_restart():
+    t = BistochasticTuple(random_unitary_tuple(8, 2, 1).matrices * 1e160)
+    with pytest.raises(NumericalFailure, match="k=2,r=0"):
+        minimize_riemannian(t, 3.0, SearchConfig(k=2, restarts=2, max_iters=5))
 
 
 def test_riemannian_determinism():

@@ -225,6 +225,11 @@ def test_sweep_failure_serialization_is_replayable():
     "bad",
     [
         {"instances": -5},
+        {"instances": 2.5},
+        {"instances": True},
+        {"seed": 1.5},
+        {"n_range": (2.5, 4)},
+        {"d_range": (1, True)},
         {"n_range": (9, 4)},
         {"n_range": (1, 1)},
         {"d_range": (0, 3)},
@@ -239,6 +244,14 @@ def test_sweep_failure_serialization_is_replayable():
 def test_sweep_config_rejects_bad_ranges(bad):
     with pytest.raises(InvalidParameters):
         SweepConfig(**bad)
+
+
+def test_sweep_config_stores_integral_values_as_ints():
+    cfg = SweepConfig(instances=np.int64(4), seed=3.0, n_range=(4.0, np.int32(6)), d_range=(2, 3))
+    assert (cfg.instances, cfg.seed, cfg.n_range) == (4, 3, (4, 6))
+    assert type(cfg.instances) is type(cfg.seed) is type(cfg.n_range[1]) is int
+    plain = SweepConfig(instances=4, seed=3, n_range=(4, 6), d_range=(2, 3))
+    assert dumps_canonical(sweep(cfg)) == dumps_canonical(sweep(plain))
 
 
 def test_sweep_config_refuses_tuples_above_limit():

@@ -12,7 +12,7 @@ from spexp.channels import RANK_TOL, expansion_ratio_sp, restriction_singular_va
 from spexp.embed import EPSILON, TARGET_LP
 from spexp.errors import NumericalFailure, RankDeficient
 from spexp.linalg import haar_isometry, haar_unitary, orthonormalize, substream
-from spexp.search import ARMIJO_C1, BACKTRACK, MIN_STEP, _smoothed_objective, objective_and_gradient
+from spexp.search import ARMIJO_C1, BACKTRACK, MIN_STEP, objective_and_gradient
 from spexp.serialize import matrix_to_json, tuple_to_json
 from spexp.verify import CHECKERS, RATIO_TOL, SINGULAR_TOL
 
@@ -421,7 +421,7 @@ def reference_distortion(f, rho):
 # ---------------------------------------------------------------------------
 
 
-def reference_objective_and_gradient(t, qm, p, epsilon, need_grad=True):
+def reference_objective_and_gradient(t, qm, p, epsilon):
     """Smoothed Schatten numerator sum_i sum_l (sigma_l^2 + epsilon)^(p/2)
     over all n singular values of P B_i (Id - P), P = QQ*, and its gradient
     (Riesz representer under Re Tr[A* B]) at an orthonormal basis Q."""
@@ -432,10 +432,6 @@ def reference_objective_and_gradient(t, qm, p, epsilon, need_grad=True):
     grad = np.zeros_like(qm)
     for b in t.matrices:
         m = proj @ b @ comp
-        if not need_grad:
-            lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0.0, None)
-            value += float(np.sum((lam + epsilon) ** (p / 2.0)))
-            continue
         lam, u = np.linalg.eigh(m @ m.conj().T)
         lam = np.clip(lam, 0.0, None)
         value += float(np.sum((lam + epsilon) ** (p / 2.0)))
@@ -443,7 +439,7 @@ def reference_objective_and_gradient(t, qm, p, epsilon, need_grad=True):
         gm = p * (h @ m)
         k_mat = b @ comp @ gm.conj().T - gm.conj().T @ proj @ b
         grad += (k_mat + k_mat.conj().T) @ qm
-    return (value, grad) if need_grad else value
+    return value, grad
 
 
 def tangent_part(qm, grad):
@@ -526,7 +522,7 @@ def reference_subspace_descent(t, q0, p, epsilon, max_iters):
         def slope():
             return tangent(qm, objective_and_gradient(t, qm, p, epsilon)[1])
 
-        return _smoothed_objective(t, qm, p, epsilon, False), slope
+        return objective_and_gradient(t, qm, p, epsilon)[0], slope
 
     def retract(y):
         try:
