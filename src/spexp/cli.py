@@ -50,7 +50,7 @@ from .graphs import (
     random_regular,
     shortest_path_metric,
 )
-from .linalg import as_rng
+from .linalg import _check_seed, as_rng
 from .search import SearchConfig, minimize_coordinate, minimize_random, minimize_riemannian
 from .serialize import (
     dumps_canonical,
@@ -122,7 +122,7 @@ def _load_json(path: str) -> dict:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
-    seed = args.seed
+    seed = _check_seed(args.seed)
     if kind == "cycle":
         payload = {"graph": graph_to_json(build_cycle(args.n))}
     elif kind == "complete":

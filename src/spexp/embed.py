@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graphs import MetricMatrix, RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
 from .graphs import metric_ratio, shortest_path_metric
-from .linalg import _check_exponent, as_integers, substream
+from .linalg import _check_exponent, _check_seed, as_integers, substream
 from .search import descend
 
 TARGET_LP = "vector-lp"
@@ -228,8 +228,9 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("restarts", "max_iters", "seed"):
             setattr(self, name, int(as_integers(getattr(self, name), name)))
+        _check_seed(self.seed)
         if self.restarts < 0 or self.max_iters < 1:
-            raise InvalidParameters("counts must be positive")
+            raise InvalidParameters("need restarts >= 0 and max_iters >= 1")
 
 
 @dataclass

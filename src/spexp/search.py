@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailure,
 )
 from .graphs import _lex_min, _subset_boundaries
-from .linalg import _check_exponent, _ginibre, _phase_fixed_qr, as_integers, as_matrix
+from .linalg import _check_exponent, _check_seed, _ginibre, _phase_fixed_qr, as_integers, as_matrix
 from .linalg import orthonormalize, substream
 
 # not called here; bound because bench/tracing.py wraps them by attribute
@@ -70,6 +70,7 @@ class SearchConfig:
             self.k = int(as_integers(self.k, "k"))
         for name in ("samples", "restarts", "max_iters", "seed"):
             setattr(self, name, int(as_integers(getattr(self, name), name)))
+        _check_seed(self.seed)
         if self.k is not None and self.k < 1:
             raise InvalidParameters(f"k must be an integer >= 1 or None, got {self.k!r}")
         if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:

@@ -1,22 +1,24 @@
 """Inequality checkers over randomized instance sweeps.
 
-Each checker evaluates one theorem-backed inequality pointwise at a concrete
-(tuple, subspace) pair and reports lhs, rhs and the slack rhs - lhs; a pass is
-slack >= -tol. The four inequalities are functions of one restriction
-spectrum: a checker takes the (d, k) singular values
-``restriction_singular_values(t.matrices, v)`` (row i for B_i). Because the
-inequalities are theorems for valid bistochastic tuples, a failing instance
-indicates an implementation bug and the full instance is serialized for
+Each checker evaluates one theorem-backed inequality between numbers (the
+Schatten ratios ratio_p and ratio_q, the rank ratio, sigma_max and d) and
+reports lhs, rhs and the slack rhs - lhs; a pass is slack >= -tol. A number
+that is not finite and >= 0, or a d that is not an integer >= 1, raises
+InvalidParameters. The ratios may come from one (tuple, subspace) pair or be
+minima over subspaces, each taken at its own witness. The sweep reduces each
+instance's (d, k) restriction spectrum once: two Schatten sums, one rank count
+and one maximum. The inequalities are theorems for valid bistochastic tuples,
+so a failing instance is an implementation bug; it is serialized in full for
 replay.
 
 The sweep works in blocks of consecutive instances, at most BLOCK_ENTRIES
 complex Ginibre entries each (a larger instance is a block of its own). A
 block draws every instance from its substream first, then runs one
 phase-fixed QR per shape (the n x n unitaries of equal n, the n x k
-isometries of equal (n, k)) and one restriction spectrum per (n, d, k), and
-calls the checkers on each instance in order. Every unitary, basis and
-spectrum has the bits of the instance drawn alone, so the report depends
-neither on the block cap nor on the grouping.
+isometries of equal (n, k)), takes each instance's spectrum from its own
+(d, n, n) slice and calls the checkers on each instance in order. Every
+unitary, basis and spectrum has the bits of the instance drawn alone, so the
+report depends neither on the block cap nor on the grouping.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ from .channels import (  # noqa: F401
     restriction_spectra,
     sp_numerator,
 )
-from .errors import InstanceTooLarge, InvalidExponentOrder, InvalidMatrix, InvalidParameters
+from .errors import InstanceTooLarge, InvalidExponentOrder, InvalidParameters
 from .linalg import (  # noqa: F401
     _check_exponent,
+    _check_seed,
     _ginibre,
     _phase_fixed_qr,
     as_integers,
+    as_matrix,
     haar_isometry,
     haar_unitary,
     substream,
@@ -69,23 +73,34 @@ class InequalityReport:
 
 
 def _check_order(p: float, q: float):
+    """p >= q >= 1 (InvalidExponentOrder), then both finite (InvalidExponent)."""
     if p < q:
         raise InvalidExponentOrder(f"need p >= q, got p={p}, q={q}")
     if q < 1:
         raise InvalidExponentOrder(f"need q >= 1, got q={q}")
+    _check_exponent(p)
+    _check_exponent(q)
 
 
-def _shape(s) -> tuple:
-    """(d, k) of a restriction spectrum."""
-    if np.ndim(s) != 2 or 0 in np.shape(s):
-        raise InvalidMatrix(f"need a (d, k) restriction spectrum, got shape {np.shape(s)}")
-    return s.shape
+def _check_degree(d) -> int:
+    """d as an int >= 1; a plain int below 2^63 skips the type scan of as_integers."""
+    if type(d) is int and 0 < d < 1 << 63:
+        return d
+    a = as_integers(d, "d")
+    if a.ndim or a < 1:
+        raise InvalidParameters(f"d must be an integer >= 1, got {d!r}")
+    return int(a)
 
 
-def _sp_ratio(s, p: float) -> float:
-    """Schatten-p ratio sum_i ||restriction of B_i||_{S_p}^p / (d k)."""
-    d, k = _shape(s)
-    return sp_numerator(s, _check_exponent(p)) / float(d * k)
+def _check_values(**values):
+    """Each value a finite number >= 0 (NaN fails the comparison)."""
+    for name, x in values.items():
+        try:
+            if 0 <= x < np.inf:
+                continue
+        except (TypeError, ValueError):  # a string, a complex number, an array
+            pass
+        raise InvalidParameters(f"{name} must be a finite number >= 0, got {x!r}")
 
 
 def _report(checker, lhs, rhs, tol, instance):
@@ -93,38 +108,42 @@ def _report(checker, lhs, rhs, tol, instance):
     return InequalityReport(checker, lhs, rhs, slack, slack >= -tol, tol, instance or {})
 
 
-def check_ratio_scaling(s, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
-    """ratio_p(V) <= d^((p-q)/2) * ratio_q(V) for p >= q >= 1."""
+def check_ratio_scaling(
+    ratio_p, ratio_q, d, p, q, tol: float = RATIO_TOL, instance=None
+) -> InequalityReport:
+    """ratio_p <= d^((p-q)/2) * ratio_q for p >= q >= 1."""
     _check_order(p, q)
-    lhs = _sp_ratio(s, p)
-    rhs = s.shape[0] ** ((p - q) / 2.0) * _sp_ratio(s, q)
-    return _report("ratio_scaling", lhs, rhs, tol, instance)
+    _check_values(ratio_p=ratio_p, ratio_q=ratio_q)
+    rhs = _check_degree(d) ** ((p - q) / 2.0) * ratio_q
+    return _report("ratio_scaling", ratio_p, rhs, tol, instance)
 
 
-def check_ratio_power(s, p, q, tol: float = RATIO_TOL, instance=None) -> InequalityReport:
-    """ratio_q(V) <= ratio_p(V)^(q/p) for p >= q >= 1 (the Hoelder chain)."""
+def check_ratio_power(
+    ratio_p, ratio_q, p, q, tol: float = RATIO_TOL, instance=None
+) -> InequalityReport:
+    """ratio_q <= ratio_p^(q/p) for p >= q >= 1 (the Hoelder chain)."""
     _check_order(p, q)
-    lhs = _sp_ratio(s, q)
-    rhs = _sp_ratio(s, p) ** (q / p)
-    return _report("ratio_power", lhs, rhs, tol, instance)
+    _check_values(ratio_p=ratio_p, ratio_q=ratio_q)
+    return _report("ratio_power", ratio_q, ratio_p ** (q / p), tol, instance)
 
 
-def check_singular_bound(s, tol: float = SINGULAR_TOL, instance=None) -> InequalityReport:
+def check_singular_bound(
+    sigma_max, d, tol: float = SINGULAR_TOL, instance=None
+) -> InequalityReport:
     """max_i sigma_max(restriction of B_i) <= sqrt(d)."""
-    d, _ = _shape(s)
-    lhs = float(s[:, 0].max())
-    rhs = float(np.sqrt(d))
-    return _report("singular_bound", lhs, rhs, tol, instance)
+    _check_values(sigma_max=sigma_max)
+    rhs = float(np.sqrt(_check_degree(d)))
+    return _report("singular_bound", sigma_max, rhs, tol, instance)
 
 
 def check_rank_relation(
-    s, p, rank_tol: float = RANK_TOL, tol: float = RATIO_TOL, instance=None
+    ratio_p, rank_ratio, d, p, tol: float = RATIO_TOL, instance=None
 ) -> InequalityReport:
-    """ratio_p(V) <= d^(p/2) * rank_ratio(V)."""
-    lhs = _sp_ratio(s, p)
-    d, k = s.shape
-    rhs = d ** (p / 2.0) * (rank_numerator(s, rank_tol) / float(d * k))
-    return _report("rank_relation", lhs, rhs, tol, instance)
+    """ratio_p <= d^(p/2) * rank_ratio."""
+    _check_exponent(p)
+    _check_values(ratio_p=ratio_p, rank_ratio=rank_ratio)
+    rhs = _check_degree(d) ** (p / 2.0) * rank_ratio
+    return _report("rank_relation", ratio_p, rhs, tol, instance)
 
 
 CHECKERS = ("ratio_scaling", "ratio_power", "singular_bound", "rank_relation")
@@ -144,6 +163,7 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("instances", "seed"):
             setattr(self, name, int(as_integers(getattr(self, name), name)))
+        _check_seed(self.seed)
         for name in ("n_range", "d_range"):
             setattr(self, name, tuple(as_integers(getattr(self, name), name).tolist()))
         (n_min, n_max), (d_min, d_max), (p_min, p_max) = self.n_range, self.d_range, self.p_range
@@ -192,47 +212,26 @@ def _groups(keys) -> dict:
     return out
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise InvalidMatrix("a drawn instance contains NaN or Inf entries")
-    return x
-
-
 def _spectra(block: list) -> list:
     """The (d, k) restriction spectrum of each (descriptor, unitary draws,
-    isometry draw) of a block: one QR per shape, one spectrum per (n, d, k)."""
-    descs = [desc for desc, _, _ in block]
-    bases = [None] * len(block)
-    for members in _groups((desc["n"], desc["k"]) for desc in descs).values():
-        v = _finite(_phase_fixed_qr(np.stack([block[i][2] for i in members])))
+    isometry draw) of a block: one QR per shape, one spectrum per instance."""
+    bases = {}
+    for members in _groups((desc["n"], desc["k"]) for desc, _, _ in block).values():
+        v = as_matrix(_phase_fixed_qr(np.stack([block[i][2] for i in members])), "bases", (3,))
         check_orthonormal(v)
-        for i, basis in zip(members, v):
-            bases[i] = basis
+        bases.update(zip(members, v))
     spectra = [None] * len(block)
-    for n, by_n in _groups(desc["n"] for desc in descs).items():
-        # the unitaries of one (d, k) lie next to each other in the n group
-        shapes = [
-            (d, [by_n[j] for j in js])
-            for (d, _), js in _groups((descs[i]["d"], descs[i]["k"]) for i in by_n).items()
-        ]
-        draws = [block[i][1] for _, members in shapes for i in members]
+    for n, members in _groups(desc["n"] for desc, _, _ in block).items():
+        draws = [block[i][1] for i in members]
         u = np.concatenate(draws) if len(draws) > 1 else draws[0]
         # QR in place, at most BLOCK_ENTRIES entries (or one matrix) a call, so
         # the workspace of a large instance stays small
         step = max(1, BLOCK_ENTRIES // (n * n))
         for a in range(0, len(u), step):
             u[a : a + step] = _phase_fixed_qr(u[a : a + step])
-        _finite(u)
-        start = 0
-        for d, members in shapes:
-            stop = start + d * len(members)
-            s = restriction_spectra(
-                u[start:stop].reshape(len(members), d, n, n),
-                np.stack([bases[i] for i in members])[:, None],
-            )
-            start = stop
-            for i, row in zip(members, s):
-                spectra[i] = row
+        as_matrix(u, "unitaries", (3,))
+        for i, unitaries in zip(members, np.split(u, np.cumsum([len(z) for z in draws[:-1]]))):
+            spectra[i] = restriction_spectra(unitaries, bases[i])
     return spectra
 
 
@@ -253,23 +252,26 @@ def _blocks(cfg: SweepConfig):
 
 
 def _check_instance(desc: dict, s: np.ndarray) -> list:
-    """The four checker reports of one instance's (d, k) spectrum. The
-    checkers are called through module globals, so a wrapper installed on
-    one (bench/tracing.py) sees every call."""
+    """The four checker reports of one instance's (d, k) spectrum, reduced
+    once to ratio_p, ratio_q, the rank ratio and sigma_max. The checkers are
+    called through module globals, so a wrapper installed on one
+    (bench/tracing.py) sees every call."""
     p, q = desc["p"], desc["q"]
+    d, dk = len(s), float(s.size)
+    ratio_p, ratio_q = sp_numerator(s, p) / dk, sp_numerator(s, q) / dk
+    rank_ratio = rank_numerator(s, RANK_TOL) / dk
     return [
-        check_ratio_scaling(s, p, q, instance=desc),
-        check_ratio_power(s, p, q, instance=desc),
-        check_singular_bound(s, instance=desc),
-        check_rank_relation(s, p, instance=desc),
+        check_ratio_scaling(ratio_p, ratio_q, d, p, q, instance=desc),
+        check_ratio_power(ratio_p, ratio_q, p, q, instance=desc),
+        check_singular_bound(float(s[:, 0].max()), d, instance=desc),
+        check_rank_relation(ratio_p, rank_ratio, d, p, instance=desc),
     ]
 
 
 def _serialize_failure(cfg: SweepConfig, report: InequalityReport) -> dict:
     from .serialize import tuple_to_json, matrix_to_json
 
-    index = report.instance["index"]
-    t, v, p, q, desc = _draw_instance(cfg, index)
+    t, v, _, _, desc = _draw_instance(cfg, report.instance["index"])
     return {
         "descriptor": desc,
         "lhs": report.lhs,
@@ -289,20 +291,18 @@ def sweep(cfg: SweepConfig) -> dict:
                 reports[r.checker].append(r)
 
     checker_rows = []
-    total_failures = 0
     for name in CHECKERS:
         failures = [r for r in reports[name] if not r.passed]
-        total_failures += len(failures)
-        worst = min((r.slack for r in reports[name]), default=None)
         checker_rows.append(
             {
                 "checker": name,
                 "total": len(reports[name]),
                 "failures": len(failures),
-                "worst_slack": worst,
+                "worst_slack": min((r.slack for r in reports[name]), default=None),
                 "failing_instances": [_serialize_failure(cfg, r) for r in failures],
             }
         )
+    total_failures = sum(row["failures"] for row in checker_rows)
     return {
         "instances": cfg.instances,
         "seed": cfg.seed,

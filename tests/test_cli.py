@@ -401,9 +401,17 @@ def test_embed_zero_dimension_is_input_error(tmp_path, capsys):
     [
         ["verify", "--instances", "2", "--seed", "-1"],
         ["gen", "unitary-tuple", "--n", "4", "--d", "2", "--seed", "-3"],
+        # runs that draw nothing refuse a negative seed too
+        ["expansion", "{graph}", "--mode", "classical", "--seed", "-1"],
+        ["verify", "--instances", "0", "--seed", "-3"],
+        ["gen", "cycle", "--n", "8", "--seed", "-2"],
+        ["embed", "{graph}", "--restarts", "0", "--seed", "-1"],
     ],
 )
-def test_negative_seed_is_input_error(argv, capsys):
+def test_negative_seed_is_input_error(argv, tmp_path, capsys):
+    graph = tmp_path / "c8.json"
+    run_cli(["gen", "cycle", "--n", "8", "--out", str(graph), "--quiet"])
+    argv = [a.format(graph=graph) for a in argv]
     assert run_cli([*argv, "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

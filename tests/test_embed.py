@@ -146,7 +146,14 @@ FAST = OptimizerConfig(restarts=4, max_iters=200, seed=0)
 
 @pytest.mark.parametrize(
     "bad",
-    [{"restarts": 1.5}, {"restarts": True}, {"max_iters": 0}, {"seed": 2.5}, {"restarts": -1}],
+    [
+        {"restarts": 1.5},
+        {"restarts": True},
+        {"max_iters": 0},
+        {"seed": 2.5},
+        {"restarts": -1},
+        {"seed": -1},
+    ],
 )
 def test_optimizer_config_refuses_bad_counts(bad):
     with pytest.raises(InvalidParameters):

@@ -252,7 +252,7 @@ def test_search_config_validation():
             SearchConfig(epsilon=epsilon)
     # counts and seeds are integers, never truncated or read from booleans
     for bad in ({"max_iters": 2.5}, {"samples": True}, {"samples": 2.5}, {"restarts": True},
-                {"seed": 1.9}, {"seed": "1"}, {"max_iters": float("inf")}):
+                {"seed": 1.9}, {"seed": "1"}, {"seed": -1}, {"max_iters": float("inf")}):
         with pytest.raises(InvalidParameters):
             SearchConfig(**bad)
     cfg = SearchConfig(k=2.0, samples=np.int64(3), restarts=4.0, max_iters=np.int32(5), seed=6.0)

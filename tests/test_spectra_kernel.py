@@ -1,5 +1,5 @@
 """The batched restriction-spectrum kernel, its Schatten and rank reductions
-and the verify checkers that reduce one spectrum against per-matrix
+and the verify instance check that reduces one spectrum, against per-matrix
 reference loops: identical bits on Haar tuples with Haar subspaces and on
 permutation tuples with coordinate subspaces."""
 
@@ -11,10 +11,6 @@ from spexp import (
     BistochasticTuple,
     Subspace,
     SweepConfig,
-    check_rank_relation,
-    check_ratio_power,
-    check_ratio_scaling,
-    check_singular_bound,
     expansion_ratio_dim,
     expansion_ratio_sp,
     quantum_edge_ratio,
@@ -65,7 +61,7 @@ def test_ratios_equal_per_matrix_reference(instance, p):
     assert (sp.numerator, sp.value) == (num, num / (t.d * v.k))
     assert expansion_ratio_dim(t, v).numerator == reference_rank_count(t, v)
     s = restriction_singular_values(t.matrices, v)
-    assert check_singular_bound(s).lhs == reference_max_singular(t, v)
+    assert verify._check_instance({"p": p, "q": p}, s)[2].lhs == reference_max_singular(t, v)
 
 
 @SETTINGS
@@ -100,13 +96,7 @@ def test_checkers_on_coordinate_subspaces_equal_reference(instance, a, b):
     t, v = instance
     p, q = max(a, b), min(a, b)
     s = restriction_singular_values(t.matrices, v)
-    reports = [
-        check_ratio_scaling(s, p, q),
-        check_ratio_power(s, p, q),
-        check_singular_bound(s),
-        check_rank_relation(s, p),
-    ]
-    assert _fields(reports) == reference_checks(t, v, p, q)
+    assert _fields(verify._check_instance({"p": p, "q": q}, s)) == reference_checks(t, v, p, q)
 
 
 def test_tuple_is_one_read_only_stack():

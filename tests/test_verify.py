@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexp import (
+    BistochasticTuple,
     SweepConfig,
     check_rank_relation,
     check_singular_bound,
     check_ratio_scaling,
     check_ratio_power,
+    decompose_permutations,
+    edge_expansion_bruteforce,
+    minimize_coordinate,
+    random_regular,
     sweep,
     tuple_from_permutations,
 )
@@ -17,11 +22,16 @@ from spexp.errors import (
     InstanceTooLarge,
     InvalidExponent,
     InvalidExponentOrder,
-    InvalidMatrix,
     InvalidParameters,
 )
 from spexp.serialize import dumps_canonical, matrix_from_json, tuple_from_json
-from spexp.channels import Subspace, expansion_ratio_sp, restriction_singular_values
+from spexp.channels import (
+    Subspace,
+    expansion_ratio_dim,
+    expansion_ratio_sp,
+    restriction_singular_values,
+)
+from spexp.linalg import haar_unitary
 from spexp.verify import CHECKERS, MAX_TUPLE_BYTES
 
 from util import coord, cycle_tuple, identity_tuple, reference_sweep
@@ -31,65 +41,102 @@ def spectrum(t, v):
     return restriction_singular_values(t.matrices, v)
 
 
+def ratio(t, v, p):
+    return expansion_ratio_sp(t, v, p).value
+
+
 def test_ratio_scaling_identity_tuple():
-    report = check_ratio_scaling(spectrum(identity_tuple(4, 2), coord(4, [0])), 3.0, 2.0)
+    t, v = identity_tuple(4, 2), coord(4, [0])
+    report = check_ratio_scaling(ratio(t, v, 3.0), ratio(t, v, 2.0), t.d, 3.0, 2.0)
     assert report.passed
     assert report.lhs == 0.0 and report.rhs == 0.0
 
 
 def test_ratio_scaling_cycle_numbers():
-    report = check_ratio_scaling(spectrum(cycle_tuple(4), coord(4, [0, 1])), 4.0, 2.0)
+    t, v = cycle_tuple(4), coord(4, [0, 1])
+    report = check_ratio_scaling(ratio(t, v, 4.0), ratio(t, v, 2.0), t.d, 4.0, 2.0)
     assert report.lhs == pytest.approx(0.5, abs=1e-12)
     assert report.rhs == pytest.approx(2.0 * 0.5, abs=1e-12)
     assert report.passed
 
 
 def test_ratio_power_cycle_numbers():
-    report = check_ratio_power(spectrum(cycle_tuple(4), coord(4, [0, 1])), 4.0, 2.0)
+    t, v = cycle_tuple(4), coord(4, [0, 1])
+    report = check_ratio_power(ratio(t, v, 4.0), ratio(t, v, 2.0), 4.0, 2.0)
     assert report.lhs == pytest.approx(0.5, abs=1e-12)
     assert report.rhs == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert report.passed
 
 
 def test_checkers_reject_bad_exponent_order():
-    s = spectrum(cycle_tuple(4), coord(4, [0]))
     with pytest.raises(InvalidExponentOrder):
-        check_ratio_scaling(s, 2.0, 3.0)
+        check_ratio_scaling(0.5, 0.5, 2, 2.0, 3.0)
     with pytest.raises(InvalidExponentOrder):
-        check_ratio_power(s, 2.0, 0.5)
+        check_ratio_power(0.5, 0.5, 2.0, 0.5)
 
 
 def test_checkers_reject_bad_exponents_and_spectra():
-    s = spectrum(cycle_tuple(4), coord(4, [0, 1]))
+    # the order check runs first, then the range check of each exponent
     for bad in (0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidExponent):
-            check_rank_relation(s, bad)
+            check_rank_relation(0.5, 0.5, 2, bad)
     with pytest.raises(InvalidExponent):
-        check_ratio_scaling(s, float("nan"), 2.0)
+        check_ratio_scaling(0.5, 0.5, 2, float("nan"), 2.0)
     with pytest.raises(InvalidExponent):
-        check_ratio_power(s, 3.0, float("nan"))
+        check_ratio_scaling(0.5, 0.5, 2, float("inf"), 2.0)
+    with pytest.raises(InvalidExponent):
+        check_ratio_power(0.5, 0.5, 3.0, float("nan"))
     with pytest.raises(InvalidExponentOrder):
-        check_ratio_scaling(s, 0.5, 0.5)
+        check_ratio_scaling(0.5, 0.5, 2, 0.5, 0.5)
     with pytest.raises(InvalidExponentOrder):
-        check_ratio_power(s, 1.5, 2.0)
-    for bad in (s[0], s[None], s[:, :0]):
-        with pytest.raises(InvalidMatrix):
-            check_singular_bound(bad)
-        with pytest.raises(InvalidMatrix):
-            check_ratio_scaling(bad, 3.0, 2.0)
+        check_ratio_power(0.5, 0.5, 1.5, 2.0)
+    with pytest.raises(InvalidExponentOrder):
+        check_ratio_power(0.5, 0.5, 2.0, float("inf"))
+    # d is an integer >= 1, never truncated or read from a boolean
+    for bad in (0, -1, 2.5, True, "2", None, float("nan"), float("inf"), 2**70, [2, 3]):
+        with pytest.raises(InvalidParameters):
+            check_ratio_scaling(0.5, 0.5, bad, 3.0, 2.0)
+        with pytest.raises(InvalidParameters):
+            check_singular_bound(0.5, bad)
+        with pytest.raises(InvalidParameters):
+            check_rank_relation(0.5, 0.5, bad, 2.0)
+    for good in (3, 3.0, np.int64(3)):
+        assert check_singular_bound(0.5, good).rhs == float(np.sqrt(3))
+    # the numbers are finite and >= 0: a negative ratio_p would make
+    # ratio_p^(q/p) complex, and NaN would read as a failed inequality
+    for bad in (-0.25, float("nan"), float("inf"), -float("inf"), "0.5", None, 1j, [0.5]):
+        with pytest.raises(InvalidParameters):
+            check_ratio_scaling(bad, 0.5, 2, 3.0, 2.0)
+        with pytest.raises(InvalidParameters):
+            check_ratio_scaling(0.5, bad, 2, 3.0, 2.0)
+        with pytest.raises(InvalidParameters):
+            check_ratio_power(bad, 0.1, 2.0, 1.0)
+        with pytest.raises(InvalidParameters):
+            check_ratio_power(0.5, bad, 2.0, 1.0)
+        with pytest.raises(InvalidParameters):
+            check_singular_bound(bad, 2)
+        with pytest.raises(InvalidParameters):
+            check_rank_relation(bad, 0.5, 2, 2.0)
+        with pytest.raises(InvalidParameters):
+            check_rank_relation(0.5, bad, 2, 2.0)
+    for good in (0, 0.0, np.float64(0.25)):
+        assert check_ratio_power(good, good, 2.0, 1.0).rhs == float(good) ** 0.5
 
 
 def test_singular_bound_permutation_and_identity():
-    report = check_singular_bound(spectrum(cycle_tuple(6), coord(6, [0, 1, 2])))
+    s = spectrum(cycle_tuple(6), coord(6, [0, 1, 2]))
+    report = check_singular_bound(float(s[:, 0].max()), 2)
     assert report.lhs <= 1.0 + 1e-12
     assert report.passed
-    report_id = check_singular_bound(spectrum(identity_tuple(5, 3), coord(5, [0])))
+    s = spectrum(identity_tuple(5, 3), coord(5, [0]))
+    report_id = check_singular_bound(float(s[:, 0].max()), 3)
     assert report_id.lhs == 0.0
     assert report_id.passed
 
 
 def test_rank_relation_cycle_numbers():
-    report = check_rank_relation(spectrum(cycle_tuple(4), coord(4, [0, 1])), 2.0)
+    t, v = cycle_tuple(4), coord(4, [0, 1])
+    report = check_rank_relation(ratio(t, v, 2.0), expansion_ratio_dim(t, v).value, t.d, 2.0)
     assert report.lhs == pytest.approx(0.5, abs=1e-12)
     assert report.rhs == pytest.approx(2.0 * 0.5, abs=1e-12)
     assert report.passed
@@ -100,9 +147,52 @@ def test_ratio_scaling_slack_exactly_zero_on_binary_spectrum():
     # the equality case of the norm-power comparison
     t = tuple_from_permutations([[1, 2, 3, 4, 5, 0]])
     for idx in ([0], [0, 1], [1, 3, 5]):
-        report = check_ratio_scaling(spectrum(t, coord(6, idx)), 4.0, 1.5)
+        v = coord(6, idx)
+        report = check_ratio_scaling(ratio(t, v, 4.0), ratio(t, v, 1.5), t.d, 4.0, 1.5)
         assert report.slack == 0.0
         assert report.passed
+
+
+def test_checkers_judge_minima_taken_at_different_witnesses():
+    # on a permutation tuple every h_p over coordinate subspaces is h(G), so
+    # minima found apart from each other satisfy both exponent comparisons
+    g = random_regular(12, 4, seed=3)
+    t = tuple_from_permutations(decompose_permutations(g))
+    h_p, h_q = (minimize_coordinate(t, p).value for p in (3.0, 1.5))
+    assert h_p == h_q == edge_expansion_bruteforce(g)[0]
+    assert check_ratio_scaling(h_p, h_q, t.d, 3.0, 1.5).passed
+    assert check_ratio_power(h_p, h_q, 3.0, 1.5).passed
+    # on a Haar unitary tuple the p = 3 and q = 1.5 minima sit at different
+    # vertex subsets, so no single spectrum holds both numbers
+    rng = np.random.default_rng(3)
+    t = BistochasticTuple(tuple(haar_unitary(6, rng) for _ in range(2)))
+    e_p, e_q = (minimize_coordinate(t, p) for p in (3.0, 1.5))
+    assert e_p.subset != e_q.subset
+    assert check_ratio_scaling(e_p.value, e_q.value, t.d, 3.0, 1.5).passed
+    assert check_ratio_power(e_p.value, e_q.value, 3.0, 1.5).passed
+    # numbers no pair of minima can take fail
+    assert not check_ratio_scaling(1.0, 0.1, 2, 3.0, 1.5).passed
+    assert not check_ratio_power(0.1, 0.9, 3.0, 1.5).passed
+
+
+def test_sweep_reduces_each_spectrum_once(monkeypatch):
+    # two Schatten sums (p and q) and one rank count per instance
+    from spexp import verify as verify_mod
+
+    calls = {"sp": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify_mod, "sp_numerator", counted("sp", verify_mod.sp_numerator))
+    monkeypatch.setattr(verify_mod, "rank_numerator", counted("rank", verify_mod.rank_numerator))
+    cfg = SweepConfig(instances=30, seed=4, n_range=(2, 12), d_range=(1, 4))
+    assert dumps_canonical(sweep(cfg)) == dumps_canonical(reference_sweep(cfg))
+    assert calls == {"sp": 2 * 30, "rank": 30}
 
 
 def test_sweep_empty_is_vacuous_pass():
@@ -188,7 +278,7 @@ def test_sweep_failure_path_serializes_and_replays(monkeypatch, capsys):
 
     real = verify_mod.check_ratio_scaling
     monkeypatch.setattr(
-        verify_mod, "check_ratio_scaling", lambda s, p, q, **kw: real(s, p, q, tol=-10.0, **kw)
+        verify_mod, "check_ratio_scaling", lambda *args, **kw: real(*args, tol=-10.0, **kw)
     )
     cfg = SweepConfig(instances=6, seed=13)
     report = sweep(cfg)
@@ -212,7 +302,9 @@ def test_sweep_failure_serialization_is_replayable():
 
     cfg = SweepConfig(instances=5, seed=13)
     t, v, p, q, desc = verify_mod._draw_instance(cfg, 2)
-    report = verify_mod.check_ratio_scaling(spectrum(t, v), p, q, tol=-10.0, instance=desc)
+    report = verify_mod.check_ratio_scaling(
+        ratio(t, v, p), ratio(t, v, q), t.d, p, q, tol=-10.0, instance=desc
+    )
     assert not report.passed
     frozen = verify_mod._serialize_failure(cfg, report)
     t2 = tuple_from_json(frozen["tuple"])
@@ -239,6 +331,7 @@ def test_sweep_failure_serialization_is_replayable():
         {"p_range": (1.0, float("inf"))},
         {"p_range": (0.5, 6.0)},
         {"p_range": (4.0, 2.0)},
+        {"seed": -1},
     ],
 )
 def test_sweep_config_rejects_bad_ranges(bad):

@@ -8,7 +8,7 @@ import numpy as np
 
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
 from spexp import embed, verify
-from spexp.channels import RANK_TOL, expansion_ratio_sp, restriction_singular_values
+from spexp.channels import RANK_TOL, expansion_ratio_sp
 from spexp.embed import EPSILON, TARGET_LP
 from spexp.errors import NumericalFailure, RankDeficient
 from spexp.linalg import haar_isometry, haar_unitary, orthonormalize, substream
@@ -187,24 +187,30 @@ def reference_max_singular(t, v):
 
 
 # ---------------------------------------------------------------------------
-# Reference verify checkers: each ratio recomputed from its own per-matrix
-# spectra, numerator over float(d k), as every checker did per call before
-# the sweep shared one spectrum per instance.
+# Reference verify checkers: each number recomputed from its own per-matrix
+# spectra, numerator over float(d k), and each inequality written out.
 # ---------------------------------------------------------------------------
+
+
+def reference_numbers(t, v, p, q, rank_tol: float = RANK_TOL):
+    """(ratio_p, ratio_q, rank_ratio, sigma_max) of one instance."""
+    dk = float(t.d * v.k)
+    return (
+        reference_sp_numerator(t, v, p) / dk,
+        reference_sp_numerator(t, v, q) / dk,
+        reference_rank_count(t, v, rank_tol) / dk,
+        reference_max_singular(t, v),
+    )
 
 
 def reference_checks(t, v, p, q, rank_tol: float = RANK_TOL):
     """checker name -> (lhs, rhs, slack, passed) of the four verify checkers."""
-
-    def sp_ratio(r):
-        return reference_sp_numerator(t, v, r) / float(t.d * v.k)
-
-    dim_ratio = reference_rank_count(t, v, rank_tol) / float(t.d * v.k)
+    ratio_p, ratio_q, rank_ratio, sigma_max = reference_numbers(t, v, p, q, rank_tol)
     rows = {
-        "ratio_scaling": (sp_ratio(p), t.d ** ((p - q) / 2.0) * sp_ratio(q), RATIO_TOL),
-        "ratio_power": (sp_ratio(q), sp_ratio(p) ** (q / p), RATIO_TOL),
-        "singular_bound": (reference_max_singular(t, v), float(np.sqrt(t.d)), SINGULAR_TOL),
-        "rank_relation": (sp_ratio(p), t.d ** (p / 2.0) * dim_ratio, RATIO_TOL),
+        "ratio_scaling": (ratio_p, t.d ** ((p - q) / 2.0) * ratio_q, RATIO_TOL),
+        "ratio_power": (ratio_q, ratio_p ** (q / p), RATIO_TOL),
+        "singular_bound": (sigma_max, float(np.sqrt(t.d)), SINGULAR_TOL),
+        "rank_relation": (ratio_p, t.d ** (p / 2.0) * rank_ratio, RATIO_TOL),
     }
     return {
         name: (lhs, rhs, rhs - lhs, rhs - lhs >= -tol) for name, (lhs, rhs, tol) in rows.items()
@@ -213,9 +219,9 @@ def reference_checks(t, v, p, q, rank_tol: float = RANK_TOL):
 
 # ---------------------------------------------------------------------------
 # Reference verify sweep: each instance drawn alone (one single-matrix QR per
-# Haar draw), one spectrum per instance, then the four checkers, as the sweep
-# ran before it grouped instances by shape. The checkers are looked up on
-# spexp.verify at call time, so a patched checker is seen here too.
+# Haar draw), its numbers reduced from per-matrix spectra, then the four
+# checkers. The checkers are looked up on spexp.verify at call time, so a
+# patched checker is seen here too.
 # ---------------------------------------------------------------------------
 
 
@@ -238,12 +244,12 @@ def reference_sweep(cfg) -> dict:
     per_instance = []
     for index in range(cfg.instances):
         t, v, p, q, desc = reference_draw_instance(cfg, index)
-        s = restriction_singular_values(t.matrices, v)
+        ratio_p, ratio_q, rank_ratio, sigma_max = reference_numbers(t, v, p, q)
         per_instance.append((t, v, [
-            verify.check_ratio_scaling(s, p, q, instance=desc),
-            verify.check_ratio_power(s, p, q, instance=desc),
-            verify.check_singular_bound(s, instance=desc),
-            verify.check_rank_relation(s, p, instance=desc),
+            verify.check_ratio_scaling(ratio_p, ratio_q, t.d, p, q, instance=desc),
+            verify.check_ratio_power(ratio_p, ratio_q, p, q, instance=desc),
+            verify.check_singular_bound(sigma_max, t.d, instance=desc),
+            verify.check_rank_relation(ratio_p, rank_ratio, t.d, p, instance=desc),
         ]))
     rows = []
     for name in CHECKERS:
