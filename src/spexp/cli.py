@@ -14,13 +14,13 @@ configuration, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .channels import random_unitary_tuple, tuple_from_permutations, validate_bistochastic
@@ -70,6 +70,12 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# orjson has no nesting limit: it crashed (SIGSEGV) on objects nested 100,000
+# deep. The count of '[' and '{' bytes, in strings or not, bounds the depth
+# from above; objects 16,384 deep parse in about 3 MB of stack, well inside
+# the usual 8 MB of a main thread.
+MAX_CONTAINERS = 16_384
+
 
 # parsed options outside manifest.parameters: the subcommand and its handler,
 # the seed (a manifest field of its own) and where the output goes
@@ -108,11 +114,19 @@ def _emit(args, payload: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The top-level object of a UTF-8 JSON file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if data.count(b"[") + data.count(b"{") > MAX_CONTAINERS:
+            raise SpexpError(f"cannot read {path}: more than {MAX_CONTAINERS} arrays and objects")
+        doc = orjson.loads(data)
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise SpexpError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        kind = type(doc).__name__
+        raise SpexpError(f"cannot read {path}: expected an object at the top level, got {kind}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def matrix_from_json(obj) -> np.ndarray:
         raise InvalidMatrix(f"rows and cols must be >= 0, got {rows} and {cols}")
     if re.size != rows * cols or im.size != rows * cols:
         raise InvalidMatrix("matrix entry count does not match rows*cols")
-    return as_matrix((re + 1j * im).reshape(rows, cols))
+    m = np.empty(rows * cols, dtype=np.complex128)
+    m.real, m.imag = re, im  # re + 1j * im would turn a -0.0 into 0.0
+    return as_matrix(m.reshape(rows, cols))
 
 
 def tuple_to_json(t: BistochasticTuple) -> dict:

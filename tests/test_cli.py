@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from spexp.cli import build_parser, main
+import spexp
+from spexp.cli import MAX_CONTAINERS, _load_json, build_parser, main
 from spexp.errors import UnsupportedStrategy
 from spexp.serialize import graph_from_json, tuple_from_json, tuple_to_json
-from spexp import BistochasticTuple, validate_bistochastic
+from spexp import BistochasticTuple, random_unitary_tuple, validate_bistochastic
 
 
 def run_cli(args, tmp_path=None):
@@ -44,6 +45,15 @@ def test_gen_unitary_tuple(tmp_path):
     )
     t = tuple_from_json(read_json(out)["tuple"])
     assert validate_bistochastic(t, tol=1e-10).passed
+
+
+def test_gen_unitary_tuple_reads_back_bit_for_bit(tmp_path):
+    out = tmp_path / "u96.json"
+    argv = ["gen", "unitary-tuple", "--n", "96", "--d", "3", "--seed", "5", "--out", str(out)]
+    assert run_cli(argv + ["--quiet"]) == 0
+    again = tuple_from_json(_load_json(str(out))["tuple"])
+    for a, b in zip(random_unitary_tuple(96, 3, 5).matrices, again.matrices, strict=True):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_gen_random_regular(tmp_path):
@@ -490,3 +500,59 @@ def test_expansion_bad_epsilon_is_input_error(epsilon, tmp_path, capsys):
     argv = ["expansion", str(tup), "--strategy", "riemannian", "--epsilon", epsilon, "--quiet"]
     assert run_cli(argv) == 2
     assert "smoothing epsilon must be finite and >= 0" in capsys.readouterr().err
+
+
+MATRIX_DOC = '{"n": 1, "d": 1, "matrices": [{"rows": 1, "cols": 1, "re": [%s], "im": [0.0]}]}'
+UNREADABLE_INPUTS = {
+    "non-utf8-string": b'{"n": "\xff"}',
+    "top-level-array": b"[1, 2]",
+    "top-level-string": b'"x"',
+    "top-level-number": b"3",
+    "nan-entry": (MATRIX_DOC % "NaN").encode(),
+    "infinity-entry": (MATRIX_DOC % "-Infinity").encode(),
+    "entry-beyond-float64": (MATRIX_DOC % "1e400").encode(),
+}
+
+
+@pytest.mark.parametrize("command", ["expansion", "decompose", "embed"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_input_error(case, command, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(UNREADABLE_INPUTS[case])
+    assert run_cli([command, str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read {path}" in captured.err
+
+
+def run_cli_process(args):
+    """The CLI in a child process, so that a crash in the parser shows as its exit code."""
+    src = os.path.dirname(os.path.dirname(spexp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "spexp.cli", *args], env=env, capture_output=True)
+
+
+def nested_graph(kind, containers):
+    """A graph file whose "graph" value is nested so that the file holds this many
+    '[' and '{' bytes, the top-level object included."""
+    depth = containers - 1
+    if kind == "array":
+        inner = b"[" * depth + b"]" * depth
+    else:
+        inner = b'{"a": ' * depth + b"0" + b"}" * depth
+    return b'{"graph": ' + inner + b"}"
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+@pytest.mark.parametrize("containers", [MAX_CONTAINERS, MAX_CONTAINERS + 1, 100_000])
+def test_nesting_is_bounded_before_parsing(kind, containers, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(nested_graph(kind, containers))
+    proc = run_cli_process(["expansion", str(path), "--mode", "classical", "--quiet"])
+    assert proc.returncode == 2, proc.stderr.decode()
+    guard = f"cannot read {path}: more than {MAX_CONTAINERS} arrays and objects"
+    if containers > MAX_CONTAINERS:
+        assert guard in proc.stderr.decode()
+    else:  # past the guard, the file fails on its format
+        assert "malformed graph object" in proc.stderr.decode()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spexp import (
     Subspace,
@@ -10,6 +11,7 @@ from spexp import (
     minimize_coordinate,
     random_unitary_tuple,
 )
+from spexp.cli import _load_json
 from spexp.embed import TARGET_LP, TARGET_SP
 from spexp.errors import InvalidMatrix, InvalidParameters, InvalidPermutation
 from spexp.serialize import (
@@ -35,6 +37,31 @@ def test_matrix_roundtrip():
     m = random_complex(rng, 3, 5)
     again = matrix_from_json(matrix_to_json(m))
     np.testing.assert_array_equal(m, again)
+
+
+# signed zeros, the smallest subnormal, the largest subnormal, the smallest
+# normal and the largest finite magnitude
+FLOAT64_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+                 -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FLOAT64_EDGES),
+        min_size=2 * shape[0] * shape[1],
+        max_size=2 * shape[0] * shape[1],
+    ).map(lambda parts: np.array(parts).view(np.complex128).reshape(shape))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=MATRICES)
+@example(m=np.array(FLOAT64_EDGES).view(np.complex128).reshape(2, 2))
+@example(m=np.array(FLOAT64_EDGES[::-1]).view(np.complex128).reshape(4, 1))
+def test_matrix_file_roundtrip_keeps_every_bit(m, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(dumps_canonical({"matrix": matrix_to_json(m)}))
+    again = matrix_from_json(_load_json(str(path))["matrix"])
+    assert np.array_equal(again.view(np.uint64), m.view(np.uint64))
 
 
 def test_matrix_rejects_bad_entry_count():
