@@ -22,7 +22,6 @@ from .errors import (
     DimensionTooLarge,
     InvalidDimension,
     InvalidMatrix,
-    InvalidParameters,
     InvalidPermutation,
     ShapeMismatch,
 )
@@ -179,20 +178,17 @@ def sp_numerator(s, p: float):
     return float(total) if total.ndim == 0 else total
 
 
-def rank_numerator(s, rank_tol: float):
+def rank_numerator(s):
     """Number of entries of each (d, r) spectrum of a (..., d, r) stack above
-    ``rank_tol * sqrt(d)`` (a restriction's singular values are bounded by
+    ``RANK_TOL * sqrt(d)`` (a restriction's singular values are bounded by
     sqrt(d)). A (d, r) spectrum gives an int, a stack an array."""
-    count = np.count_nonzero(s > _rank_threshold(rank_tol, s.shape[-2]), axis=(-2, -1))
+    count = np.count_nonzero(s > _rank_threshold(s.shape[-2]), axis=(-2, -1))
     return int(count) if s.ndim == 2 else count
 
 
-def _rank_threshold(rank_tol: float, d: int) -> float:
-    """rank_tol * sqrt(d), the level above which a singular value counts."""
-    rank_tol = float(rank_tol)
-    if not (np.isfinite(rank_tol) and rank_tol >= 0):
-        raise InvalidParameters(f"rank_tol must be finite and >= 0, got {rank_tol}")
-    return rank_tol * np.sqrt(d)
+def _rank_threshold(d: int) -> float:
+    """RANK_TOL * sqrt(d), the level above which a singular value counts."""
+    return RANK_TOL * np.sqrt(d)
 
 
 def _check_pair(t: BistochasticTuple, v: Subspace):
@@ -211,11 +207,11 @@ def expansion_ratio_sp(t: BistochasticTuple, v: Subspace, p: float) -> RatioValu
     return RatioValue(num / den, num, den, p)
 
 
-def expansion_ratio_dim(t: BistochasticTuple, v: Subspace, rank_tol: float = RANK_TOL) -> RatioValue:
+def expansion_ratio_dim(t: BistochasticTuple, v: Subspace) -> RatioValue:
     """Rank ratio sum_i rank(P_V B_i (Id-P_V)) / (d dim V), with numerical
     rank as in ``rank_numerator``."""
     _check_pair(t, v)
-    num = rank_numerator(restriction_singular_values(t.matrices, v), rank_tol)
+    num = rank_numerator(restriction_singular_values(t.matrices, v))
     den = float(t.d * v.k)
     return RatioValue(num / den, float(num), den, "dim")
 

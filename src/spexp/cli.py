@@ -63,7 +63,7 @@ from .serialize import (
     tuple_from_json,
     tuple_to_json,
 )
-from .verify import SweepConfig, sweep
+from .verify import MAX_TUPLE_BYTES, SweepConfig, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -134,9 +134,30 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_gen_size(kind: str, n: int, d: int, k: int) -> None:
+    """Raise InstanceTooLarge when the array gen fills, the n x n int64
+    adjacency of a graph (n = 2^k for a hypercube) or the (d, n, n)
+    complex128 stack of a tuple, exceeds MAX_TUPLE_BYTES. A negative size is
+    left to the input check of the function that makes the output."""
+    n, d = max(n, 0), max(d, 0)
+    if kind == "hypercube":  # 8 (2^k)^2 = 2^(2k + 3) bytes, without building 2^k
+        too_large = 2 * k + 3 >= MAX_TUPLE_BYTES.bit_length()
+    elif kind in ("unitary-tuple", "permutation-tuple"):
+        too_large = 16 * d * n * n > MAX_TUPLE_BYTES
+    else:
+        too_large = 8 * n * n > MAX_TUPLE_BYTES
+    if too_large:
+        raise InstanceTooLarge(f"the {kind} output would exceed {MAX_TUPLE_BYTES} bytes")
+
+
 def _cmd_gen(args) -> int:
     kind = args.kind
     seed = _check_seed(args.seed)
+    n, d = args.n, args.d
+    if kind == "permutation-tuple" and args.perms:
+        perms = permutations_from_json(_load_json(args.perms))
+        n, d = len(perms[0]), len(perms)
+    _check_gen_size(kind, n, d, args.k)  # before anything is drawn or built
     if kind == "cycle":
         payload = {"graph": graph_to_json(build_cycle(args.n))}
     elif kind == "complete":
@@ -151,9 +172,7 @@ def _cmd_gen(args) -> int:
     elif kind == "unitary-tuple":
         payload = {"tuple": tuple_to_json(random_unitary_tuple(args.n, args.d, seed))}
     elif kind == "permutation-tuple":
-        if args.perms:
-            perms = permutations_from_json(_load_json(args.perms))
-        else:
+        if not args.perms:
             rng = as_rng(seed)
             perms = [rng.permutation(args.n).tolist() for _ in range(args.d)]
         t = tuple_from_permutations(perms)
@@ -178,7 +197,6 @@ def _cmd_expansion(args) -> int:
         samples=args.samples,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        epsilon=args.epsilon,
         seed=args.seed,
     )
     if not (np.isfinite(args.p) and args.p >= 1):
@@ -347,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--samples", type=int, default=SearchConfig.samples)
     e.add_argument("--restarts", type=int, default=SearchConfig.restarts)
     e.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
-    e.add_argument("--epsilon", type=float, default=SearchConfig.epsilon)
     e.add_argument("--seed", type=int, default=SearchConfig.seed)
     e.set_defaults(func=_cmd_expansion)
 

@@ -25,11 +25,10 @@ from .errors import (
 from .graphs import MetricMatrix, RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
 from .graphs import metric_ratio, shortest_path_metric
 from .linalg import _check_exponent, _check_seed, as_integers, substream
-from .search import descend
+from .search import EPSILON, descend
 
 TARGET_LP = "vector-lp"
 TARGET_SP = "matrix-sp"
-EPSILON = 1e-10  # smoothing of |t|^p as (t^2 + EPSILON)^(p/2) in the descent
 SWEEP_CUTS = 3  # best Fiedler prefix cuts used as starting points
 
 

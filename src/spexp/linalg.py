@@ -18,6 +18,19 @@ from .errors import InvalidDimension, InvalidExponent, InvalidMatrix, InvalidPar
 from .errors import RankDeficient
 
 ORTHONORMALIZE_TOL = 1e-12
+# complex entries (4 MiB) per batched LAPACK call or block of drawn instances;
+# the items of a whole class at once would not fit (the |W| = 12 blocks of a
+# coordinate sweep at n = 24, d = 4: 25 GB)
+BATCH_ENTRIES = 1 << 18
+
+
+def batches(count: int, each: int) -> list:
+    """Consecutive runs of the items 0..count - 1, ``each`` entries an item,
+    holding at most BATCH_ENTRIES entries a run, or one item when it alone
+    holds more. LAPACK decomposes each matrix of a stack on its own, so no
+    value depends on the runs."""
+    step = max(1, BATCH_ENTRIES // each)
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def as_matrix(m, name: str = "matrix", ndims=(2,)) -> np.ndarray:
@@ -33,14 +46,19 @@ def as_matrix(m, name: str = "matrix", ndims=(2,)) -> np.ndarray:
     return a
 
 
-def as_numbers(x, name: str, error=InvalidParameters, what: str = "numbers") -> np.ndarray:
-    """x as an object array, after one pass over its entry types: booleans,
-    strings, None and nesting raise ``error``, where a float cast would read
-    "1" or true as a number."""
-    a = np.asarray(x, dtype=object)
-    for k in set(map(type, a.flat)):
+def _check_numbers(items, name: str, error=InvalidParameters, what: str = "numbers"):
+    """One pass over the types of a flat iterable: booleans, strings, None and
+    lists raise ``error``, where a float cast would read "1" or true as a
+    number or a nested list as its entries."""
+    for k in set(map(type, items)):
         if issubclass(k, (bool, np.bool_)) or not issubclass(k, (int, float, np.integer, np.floating)):
             raise error(f"{name} must be {what}, got {k.__name__}")
+
+
+def as_numbers(x, name: str, error=InvalidParameters, what: str = "numbers") -> np.ndarray:
+    """x as an object array, after ``_check_numbers`` of its entries."""
+    a = np.asarray(x, dtype=object)
+    _check_numbers(a.flat, name, error, what)
     return a
 
 

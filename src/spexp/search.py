@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import RANK_TOL, BistochasticTuple, Subspace, _rank_threshold, check_orthonormal
+from .channels import BistochasticTuple, Subspace, _rank_threshold, check_orthonormal
 from .channels import rank_numerator, restriction_spectra, sp_numerator
 from .errors import (
     DimensionTooLarge,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graphs import _lex_min, _subset_boundaries
 from .linalg import _check_exponent, _check_seed, _ginibre, _phase_fixed_qr, as_integers, as_matrix
-from .linalg import orthonormalize, substream
+from .linalg import batches, orthonormalize, substream
 
 # not called here; bound because bench/tracing.py wraps them by attribute
 from .channels import expansion_ratio_sp  # noqa: F401
@@ -47,13 +47,7 @@ from .linalg import haar_isometry  # noqa: F401
 MIN_STEP = 1e-14
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
-
-# complex entries (128 KiB) per batched SVD block of the coordinate sweep, or
-# one subset when its blocks alone are larger; the blocks of a whole size class
-# would not fit (|W| = 12 at n = 24, d = 4: 25 GB)
-_BLOCK_ENTRIES = 1 << 13
-# complex entries of restriction rows per stack of random candidates or restarts
-_CANDIDATE_ENTRIES = 1 << 18
+EPSILON = 1e-10  # smoothing of |t|^p as (t^2 + EPSILON)^(p/2) in the descent
 
 
 @dataclass
@@ -62,7 +56,6 @@ class SearchConfig:
     samples: int = 100
     restarts: int = 8
     max_iters: int = 200
-    epsilon: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -75,10 +68,6 @@ class SearchConfig:
             raise InvalidParameters(f"k must be an integer >= 1 or None, got {self.k!r}")
         if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:
             raise InvalidParameters("counts must be >= 1")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidParameters(
-                f"smoothing epsilon must be finite and >= 0, got {self.epsilon}"
-            )
 
     def dims(self, n: int) -> list:
         if n < 2:
@@ -104,9 +93,7 @@ class ExpansionEstimate:
     iterations: int = 0
 
 
-def minimize_coordinate(
-    t: BistochasticTuple, p: float, mode: str = "sp", rank_tol: float = RANK_TOL
-) -> ExpansionEstimate:
+def minimize_coordinate(t: BistochasticTuple, p: float, mode: str = "sp") -> ExpansionEstimate:
     """Exact minimum over coordinate subspaces with 1 <= |W| <= floor(n/2).
 
     On permutation tuples (every mode) this equals the multigraph's edge
@@ -118,11 +105,9 @@ def minimize_coordinate(
     so modes sp and dim count them on the same kernel: the weight leaving W,
     which is the weight entering W of the transposed count matrix. Any other
     tuple takes the singular values of each block, with one batched SVD per
-    subset size in blocks of at most _BLOCK_ENTRIES complex entries (LAPACK
-    decomposes each matrix of a block on its own, so the values do not
-    depend on the blocking). Each ratio is one division by d |W|, so integer
-    counts compare exactly as in cut_oracle_l1; ties go to the
-    lexicographically smallest vertex subset.
+    run of ``batches`` over the subsets of one size. Each ratio is one
+    division by d |W|, so integer counts compare exactly as in
+    cut_oracle_l1; ties go to the lexicographically smallest vertex subset.
     """
     if mode not in ("sp", "dim", "Q"):
         raise InvalidParameters(f"unknown coordinate mode {mode!r}")
@@ -134,7 +119,7 @@ def minimize_coordinate(
         p = _check_exponent(p)
         weight = np.sum(a, axis=0).T  # |b|^p = |b| on 0/1 entries
     else:
-        weight = np.sum(a > _rank_threshold(rank_tol, d), axis=0).T
+        weight = np.sum(a > _rank_threshold(d), axis=0).T
     masks, sizes, num = _subset_boundaries(weight)
     # 0/1 entries, at most one nonzero per column (sum over rows) and per row
     counted = np.all((a == 0) | (a == 1)) and np.all(a.sum(1) <= 1) and np.all(a.sum(2) <= 1)
@@ -142,11 +127,10 @@ def minimize_coordinate(
         num = np.full(len(masks), np.nan)  # a subset the sweep skips shows as NaN
         for k in range(1, n // 2 + 1):
             of_size = np.flatnonzero(sizes == k)
-            step = max(1, _BLOCK_ENTRIES // (d * k * (n - k)))
-            for lo in range(0, len(of_size), step):
-                chunk = of_size[lo : lo + step]
+            for run in batches(len(of_size), d * k * (n - k)):
+                chunk = of_size[run]
                 s = np.linalg.svd(_blocks(t.matrices, masks[chunk], k), compute_uv=False)
-                num[chunk] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s, rank_tol)
+                num[chunk] = sp_numerator(s, p) if mode == "sp" else rank_numerator(s)
     value, subset = _lex_min(masks, num / (d * sizes))
     return ExpansionEstimate(
         value=value, witness=Subspace.coordinate(n, subset), k=len(subset),
@@ -170,25 +154,19 @@ def minimize_random(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Expans
 
     Candidate j of dimension k draws from substream (seed, k, j): the first
     ``samples`` candidates of a larger run are identical to a smaller run, so
-    the minimum is monotone in the sample count. Candidates go in ``_stacks``.
+    the minimum is monotone in the sample count. Candidates go in ``batches``
+    of restriction rows (d k n entries each).
     """
     p = _check_exponent(p)
 
     def candidates(k):
-        return (_haar_stack(t.n, k, cfg.seed, js) for js in _stacks(t, k, cfg.samples))
+        return (_haar_stack(t.n, k, cfg.seed, js) for js in batches(cfg.samples, t.d * k * t.n))
 
     value, k, witness = _best_candidate(t, p, cfg, candidates)
     return ExpansionEstimate(
         value=value, witness=witness, k=k, p=p, strategy="random-sample",
         samples_used=len(cfg.dims(t.n)) * cfg.samples,
     )
-
-
-def _stacks(t, k, count):
-    """Ranges of the indices 0..count - 1 of k-dim candidates or restarts, each
-    holding about _CANDIDATE_ENTRIES entries of restriction rows (d k n each)."""
-    step = max(1, _CANDIDATE_ENTRIES // (t.d * k * t.n))
-    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _haar_stack(n, k, seed, indices):
@@ -305,12 +283,12 @@ def descend(x, first, evaluate, retract, initial_step, grad_tol, max_iters):
     return x, traces
 
 
-def _descend_subspace(t, q0, p, epsilon, max_iters, k, restarts):
+def _descend_subspace(t, q0, p, max_iters, k, restarts):
     """Lock-step Riemannian descent from the stack q0 of the k-dim restarts
     numbered ``restarts``; returns (final bases, objective traces)."""
 
     def evaluate(qm):
-        value, grad = objective_and_gradient(t, qm, p, epsilon)
+        value, grad = objective_and_gradient(t, qm, p, EPSILON)
         qhg = _adj(qm) @ grad  # tangent projection of the gradient
         xi = grad - qm @ ((qhg + _adj(qhg)) / 2.0)
         # the norm per basis keeps the bits of np.linalg.norm
@@ -335,9 +313,9 @@ def minimize_riemannian(t: BistochasticTuple, p: float, cfg: SearchConfig) -> Ex
 
     def restarts(k):
         nonlocal iterations
-        for rs in _stacks(t, k, cfg.restarts):
+        for rs in batches(cfg.restarts, t.d * k * t.n):
             q0 = _haar_stack(t.n, k, cfg.seed, rs)
-            qm, traces = _descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, k, rs)
+            qm, traces = _descend_subspace(t, q0, p, cfg.max_iters, k, rs)
             iterations += sum(len(trace) - 1 for trace in traces)
             yield qm
 

@@ -21,7 +21,7 @@ from .channels import BistochasticTuple, Subspace, check_permutation
 from .embed import TARGET_LP, VertexEmbedding
 from .errors import InvalidMatrix, InvalidParameters
 from .graphs import RegularGraph
-from .linalg import as_integers, as_matrix, as_numbers
+from .linalg import _check_numbers, as_integers, as_matrix, as_numbers
 from .search import ExpansionEstimate
 
 
@@ -38,8 +38,11 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         shape = obj["rows"], obj["cols"]
-        re = as_numbers(obj["re"], "re", InvalidMatrix).astype(np.float64)
-        im = as_numbers(obj["im"], "im", InvalidMatrix).astype(np.float64)
+        re, im = obj["re"], obj["im"]
+        # flat lists of numbers: a nested list would broadcast or pass as its entries
+        _check_numbers(re, "re", InvalidMatrix)
+        _check_numbers(im, "im", InvalidMatrix)
+        re, im = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix object: {exc}") from exc
     rows, cols = as_integers(shape, "rows and cols", InvalidMatrix).tolist()

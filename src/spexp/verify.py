@@ -11,12 +11,12 @@ and one maximum. The inequalities are theorems for valid bistochastic tuples,
 so a failing instance is an implementation bug; it is serialized in full for
 replay.
 
-The sweep works in blocks of consecutive instances, at most BLOCK_ENTRIES
-complex Ginibre entries each (a larger instance is a block of its own). A
-block draws every instance from its substream first, then runs one
-phase-fixed QR per shape (the n x n unitaries of equal n, the n x k
-isometries of equal (n, k)), takes each instance's spectrum from its own
-(d, n, n) slice and calls the checkers on each instance in order. Every
+The sweep works in blocks of consecutive instances, at most
+linalg.BATCH_ENTRIES complex Ginibre entries each (a larger instance is a
+block of its own). A block draws every instance from its substream first,
+then runs one phase-fixed QR per shape (the n x n unitaries of equal n, the
+n x k isometries of equal (n, k)), takes each instance's spectrum from its
+own (d, n, n) slice and calls the checkers on each instance in order. Every
 unitary, basis and spectrum has the bits of the instance drawn alone, so the
 report depends neither on the block cap nor on the grouping.
 """
@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 # haar_unitary, haar_isometry, expansion_ratio_sp, expansion_ratio_dim and
 # restriction_singular_values are not called here; they stay bound in this
 # module because bench/tracing.py wraps them by attribute.
 from .channels import (  # noqa: F401
-    RANK_TOL,
     BistochasticTuple,
     Subspace,
     check_orthonormal,
@@ -50,6 +50,7 @@ from .linalg import (  # noqa: F401
     _phase_fixed_qr,
     as_integers,
     as_matrix,
+    batches,
     haar_isometry,
     haar_unitary,
     substream,
@@ -58,7 +59,6 @@ from .linalg import (  # noqa: F401
 RATIO_TOL = 1e-9
 SINGULAR_TOL = 1e-8
 MAX_TUPLE_BYTES = 1 << 30
-BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -224,11 +224,10 @@ def _spectra(block: list) -> list:
     for n, members in _groups(desc["n"] for desc, _, _ in block).items():
         draws = [block[i][1] for i in members]
         u = np.concatenate(draws) if len(draws) > 1 else draws[0]
-        # QR in place, at most BLOCK_ENTRIES entries (or one matrix) a call, so
-        # the workspace of a large instance stays small
-        step = max(1, BLOCK_ENTRIES // (n * n))
-        for a in range(0, len(u), step):
-            u[a : a + step] = _phase_fixed_qr(u[a : a + step])
+        # QR in place, one run of batches a call, so the workspace of a large
+        # instance stays small
+        for run in batches(len(u), n * n):
+            u[run] = _phase_fixed_qr(u[run])
         as_matrix(u, "unitaries", (3,))
         for i, unitaries in zip(members, np.split(u, np.cumsum([len(z) for z in draws[:-1]]))):
             spectra[i] = restriction_spectra(unitaries, bases[i])
@@ -236,13 +235,13 @@ def _spectra(block: list) -> list:
 
 
 def _blocks(cfg: SweepConfig):
-    """Consecutive drawn instances, at most BLOCK_ENTRIES entries a block
-    unless one instance alone holds more."""
+    """Consecutive drawn instances, at most linalg.BATCH_ENTRIES entries a
+    block unless one instance alone holds more."""
     block, entries = [], 0
     for index in range(cfg.instances):
         drawn = _draw(cfg, index)
         size = drawn[1].size + drawn[2].size
-        if block and entries + size > BLOCK_ENTRIES:
+        if block and entries + size > linalg.BATCH_ENTRIES:
             yield block
             block, entries = [], 0
         block.append(drawn)
@@ -259,7 +258,7 @@ def _check_instance(desc: dict, s: np.ndarray) -> list:
     p, q = desc["p"], desc["q"]
     d, dk = len(s), float(s.size)
     ratio_p, ratio_q = sp_numerator(s, p) / dk, sp_numerator(s, q) / dk
-    rank_ratio = rank_numerator(s, RANK_TOL) / dk
+    rank_ratio = rank_numerator(s) / dk
     return [
         check_ratio_scaling(ratio_p, ratio_q, d, p, q, instance=desc),
         check_ratio_power(ratio_p, ratio_q, p, q, instance=desc),

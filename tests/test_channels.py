@@ -8,7 +8,6 @@ from spexp import (
     Subspace,
     expansion_ratio_dim,
     expansion_ratio_sp,
-    minimize_coordinate,
     quantum_edge_ratio,
     random_unitary_tuple,
     restriction_singular_values,
@@ -18,7 +17,6 @@ from spexp import (
 from spexp.errors import (
     DimensionTooLarge,
     InvalidMatrix,
-    InvalidParameters,
     InvalidPermutation,
     ShapeMismatch,
 )
@@ -125,21 +123,6 @@ def test_dim_ratio_identity_zero_and_cycle_half():
     r = expansion_ratio_dim(cycle_tuple(4), coord(4, [0, 1]))
     assert r.value == pytest.approx(0.5, abs=1e-14)
     assert r.numerator == 2.0
-
-
-@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1.0])
-def test_dim_ratio_refuses_bad_rank_tol(rank_tol):
-    # a NaN or infinite threshold counts no value and a negative one every
-    # value, so each would report a silently wrong rank
-    t = cycle_tuple(6)
-    with pytest.raises(InvalidParameters, match="rank_tol"):
-        expansion_ratio_dim(t, coord(6, [0, 1]), rank_tol)
-    with pytest.raises(InvalidParameters, match="rank_tol"):
-        minimize_coordinate(t, 2, "dim", rank_tol=rank_tol)
-
-
-def test_dim_ratio_accepts_zero_rank_tol():
-    assert expansion_ratio_dim(cycle_tuple(6), coord(6, [0, 1]), 0.0).numerator == 2.0
 
 
 def test_dim_ratio_haar_rank_one_restrictions():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spexp
+from spexp import cli
 from spexp.cli import MAX_CONTAINERS, _load_json, build_parser, main
 from spexp.errors import UnsupportedStrategy
 from spexp.serialize import graph_from_json, tuple_from_json, tuple_to_json
@@ -164,12 +165,11 @@ def test_expansion_payload_names_the_strategy(strategy, name, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["{tuple}", "--mode", "Q", "--epsilon", "nan"], "epsilon"),
+        (["{tuple}", "--mode", "dim", "--p", "0.5"], "--p"),
         (["{graph}", "--mode", "classical", "--p", "inf"], "--p"),
         (["{tuple}", "--mode", "dim", "--p", "nan"], "--p"),
         (["{graph}", "--mode", "classical", "--p", "0.5"], "--p"),
         (["{tuple}", "--mode", "Q", "--p", "0.5"], "--p"),
-        (["{tuple}", "--mode", "dim", "--p", "0.5"], "--p"),
     ],
 )
 def test_expansion_unused_non_finite_option_is_input_error(argv, option, tmp_path, capsys):
@@ -236,6 +236,11 @@ BOUNDARY_INPUTS = {
     "boolean-matrix-entries": (
         {"n": 2, "d": 1, "matrices": [
             {"rows": 2, "cols": 2, "re": [True, False, False, True], "im": [0, 0, 0, 0]}]},
+        ["expansion", "{path}", "--mode", "Q", "--strategy", "coordinate"],
+    ),
+    "nested-matrix-entries": (
+        {"n": 2, "d": 1, "matrices": [
+            {"rows": 2, "cols": 2, "re": [[1.0], [0.0], [0.0], [1.0]], "im": [0, 0, 0, 0]}]},
         ["expansion", "{path}", "--mode", "Q", "--strategy", "coordinate"],
     ),
 }
@@ -444,6 +449,37 @@ def test_embed_one_vertex_is_input_error(tmp_path, capsys):
 def test_gen_bad_params_is_input_error(tmp_path):
     assert run_cli(["gen", "cycle", "--n", "2", "--quiet"]) == 2
     assert run_cli(["gen", "unitary-tuple", "--n", "0", "--d", "2", "--quiet"]) == 2
+    # a negative size is an input error, however large its square
+    assert run_cli(["gen", "cycle", "--n", "-100000", "--quiet"]) == 2
+    assert run_cli(["gen", "unitary-tuple", "--n", "100000", "--d", "-1", "--quiet"]) == 2
+
+
+GEN_TOO_LARGE = {
+    "cycle": ["--n", "3000000000"],
+    "complete": ["--n", "100000000"],
+    "hypercube": ["--k", "40"],
+    "hypercube-huge-k": ["--k", str(10**12)],  # 2^k is never built
+    "random-regular": ["--n", "20000", "--d", "3"],
+    "unitary-tuple": ["--n", "200000", "--d", "2"],
+    "permutation-tuple": ["--n", "100000000", "--d", "2"],
+    "permutation-tuple-perms": ["--perms", "{perms}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_TOO_LARGE))
+def test_gen_refuses_an_output_too_large_before_building_it(case, tmp_path, capsys, monkeypatch):
+    # two permutations of 6,000 points fill a (2, 6000, 6000) complex stack of
+    # 1.15e9 bytes; reaching a constructor or a draw would fail the test at once
+    perms = tmp_path / "perms.json"
+    perms.write_text(json.dumps({"permutations": [list(range(6000))] * 2}))
+    for name in ("build_cycle", "build_complete", "build_hypercube", "random_regular",
+                 "random_unitary_tuple", "tuple_from_permutations", "as_rng"):
+        monkeypatch.setattr(cli, name, None)
+    kind = case.removesuffix("-huge-k").removesuffix("-perms")
+    argv = ["gen", kind] + [a.format(perms=perms) for a in GEN_TOO_LARGE[case]]
+    assert run_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "infeasible configuration" in err and "bytes" in err
 
 
 def test_gen_stdout_payload(capsys):
@@ -481,6 +517,10 @@ def test_manifest_parameters_are_the_parsed_options(command, tmp_path):
         for k, v in options.items()
         if k not in ("command", "func", "seed", "out", "quiet", "csv") and v is not None
     }
+    if command == "expansion":  # the smoothing constant is no option
+        assert sorted(manifest["parameters"]) == [
+            "input", "k", "max_iters", "mode", "p", "restarts", "samples", "strategy"
+        ]
 
 
 def test_gen_manifest_records_directed_and_no_loops(capsys):
@@ -491,15 +531,6 @@ def test_gen_manifest_records_directed_and_no_loops(capsys):
         manifests.append(json.loads(capsys.readouterr().out)["manifest"])
     assert manifests[0] != manifests[1]
     assert manifests[1]["parameters"]["directed"] is manifests[1]["parameters"]["no_loops"] is True
-
-
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
-def test_expansion_bad_epsilon_is_input_error(epsilon, tmp_path, capsys):
-    tup = tmp_path / "t.json"
-    run_cli(["gen", "unitary-tuple", "--n", "4", "--d", "2", "--out", str(tup), "--quiet"])
-    argv = ["expansion", str(tup), "--strategy", "riemannian", "--epsilon", epsilon, "--quiet"]
-    assert run_cli(argv) == 2
-    assert "smoothing epsilon must be finite and >= 0" in capsys.readouterr().err
 
 
 MATRIX_DOC = '{"n": 1, "d": 1, "matrices": [{"rows": 1, "cols": 1, "re": [%s], "im": [0.0]}]}'

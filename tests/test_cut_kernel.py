@@ -26,8 +26,8 @@ from spexp import (
     random_unitary_tuple,
     tuple_from_permutations,
 )
-from spexp import search
-from spexp.channels import rank_numerator, sp_numerator
+from spexp import channels, linalg
+from spexp.channels import RANK_TOL, rank_numerator, sp_numerator
 from spexp.errors import DisconnectedGraph
 from spexp.graphs import RegularGraph
 
@@ -179,12 +179,13 @@ def test_spectral_modes_match_reference_at_the_table_gate(edge, p, data):
 
 
 @pytest.mark.parametrize("rank_tol", [0.4, 0.6])
-def test_dim_mode_threshold_on_permutation_tuple(rank_tol):
-    # d = 4: the threshold rank_tol sqrt(d) is 0.8, below every one, or 1.2,
+def test_dim_mode_threshold_on_permutation_tuple(monkeypatch, rank_tol):
+    # d = 4: the threshold RANK_TOL sqrt(d) is 0.8, below every one, or 1.2,
     # above all of them, where every ratio is 0 and [0] is the witness
+    monkeypatch.setattr(channels, "RANK_TOL", rank_tol)
     rng = np.random.default_rng(3)
     t = tuple_from_permutations([rng.permutation(10).tolist() for _ in range(4)])
-    est = minimize_coordinate(t, 2.0, mode="dim", rank_tol=rank_tol)
+    est = minimize_coordinate(t, 2.0, mode="dim")
     _same_estimate(est, reference_coordinate(t, 2.0, "dim", rank_tol))
     if rank_tol == 0.6:
         assert (est.value, est.subset) == (0.0, [0])
@@ -229,7 +230,7 @@ BUDGETS = st.sampled_from([1, "uneven"])
 @given(directed_permutation_tuples(max_n=9), st.sampled_from([1.0, 1.5, 3.0]), BUDGETS)
 def test_spectral_modes_match_reference_across_blocks_on_directed_tuples(t, p, budget):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, t.n, t.d))
+        mp.setattr(linalg, "BATCH_ENTRIES", _block_budget(budget, t.n, t.d))
         for mode in ("sp", "dim"):
             _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
 
@@ -241,7 +242,7 @@ def test_spectral_modes_match_reference_across_blocks_on_rotated_tuples(t, p, bu
     # structured tuples that take the SVD: mixed permutations keep the exact
     # zeros of a permutation tuple
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, t.n, t.d))
+        mp.setattr(linalg, "BATCH_ENTRIES", _block_budget(budget, t.n, t.d))
         for mode in ("sp", "dim"):
             _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
 
@@ -251,7 +252,7 @@ def test_spectral_modes_match_reference_across_blocks_on_rotated_tuples(t, p, bu
 def test_spectral_modes_match_reference_across_blocks_on_haar_tuples(n, d, seed, p, budget):
     t = random_unitary_tuple(n, d, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_BLOCK_ENTRIES", _block_budget(budget, n, d))
+        mp.setattr(linalg, "BATCH_ENTRIES", _block_budget(budget, n, d))
         for mode in ("sp", "dim"):
             _same_estimate(minimize_coordinate(t, p, mode=mode), reference_coordinate(t, p, mode))
 
@@ -263,14 +264,13 @@ def test_batched_reductions_equal_per_spectrum_calls(stack, d, r, seed, p):
     rng = np.random.default_rng(seed)
     s = rng.random((stack, d, r)) * np.sqrt(d)
     s[rng.random(s.shape) < 0.3] = 0.0  # exact zeros, as rank-deficient blocks give
-    rank_tol = 1e-8
-    s[rng.random(s.shape) < 0.2] = rank_tol * np.sqrt(d)  # at the threshold: not counted
-    sp, rank = sp_numerator(s, p), rank_numerator(s, rank_tol)
+    s[rng.random(s.shape) < 0.2] = RANK_TOL * np.sqrt(d)  # at the threshold: not counted
+    sp, rank = sp_numerator(s, p), rank_numerator(s)
     assert sp.shape == rank.shape == (stack,)
     for i in range(stack):
         assert repr(float(sp[i])) == repr(sp_numerator(s[i], p))
-        assert int(rank[i]) == rank_numerator(s[i], rank_tol)
-    assert type(sp_numerator(s[0], p)) is float and type(rank_numerator(s[0], rank_tol)) is int
+        assert int(rank[i]) == rank_numerator(s[i])
+    assert type(sp_numerator(s[0], p)) is float and type(rank_numerator(s[0])) is int
 
 
 @SETTINGS

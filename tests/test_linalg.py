@@ -5,7 +5,8 @@ import pytest
 
 from spexp import haar_unitary, orthonormalize
 from spexp.errors import InvalidDimension, InvalidMatrix, RankDeficient
-from spexp.linalg import as_matrix, haar_isometry
+from spexp import linalg
+from spexp.linalg import as_matrix, batches, haar_isometry
 
 from util import random_complex
 
@@ -91,3 +92,16 @@ def test_orthonormalize_rejects_rank_deficient():
     a = np.ones((4, 2), dtype=complex)
     with pytest.raises(RankDeficient):
         orthonormalize(a)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1 << 18])
+def test_batches_cover_every_item_once_in_order(monkeypatch, budget):
+    # an item larger than the budget is a run of its own; count 0 gives none
+    monkeypatch.setattr(linalg, "BATCH_ENTRIES", budget)
+    assert batches(0, 3) == []
+    for count in (1, 5, 12):
+        for each in (1, 3, 7, 10):
+            runs = batches(count, each)
+            assert [i for run in runs for i in run] == list(range(count))
+            assert all(len(run) == 1 or len(run) * each <= budget for run in runs)
+            assert all(len(run) == max(1, budget // each) for run in runs[:-1])

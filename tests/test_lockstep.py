@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexp import Subspace, embed, expansion_ratio_sp, minimize_random, minimize_riemannian
-from spexp import random_regular, random_unitary_tuple, search
+from spexp import linalg, random_regular, random_unitary_tuple, search
 from spexp.errors import NumericalFailure
 from spexp.embed import TARGET_LP, TARGET_SP, OptimizerConfig
 from spexp.linalg import haar_isometry, substream
@@ -173,12 +173,12 @@ def test_best_of_starts_refuses_when_every_start_coincides():
 def test_riemannian_stacks_equal_solo_descents(monkeypatch, p, entries):
     # entries=100: the estimate descends its restarts in stacks of two
     if entries is not None:
-        monkeypatch.setattr(search, "_CANDIDATE_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", entries)
     t = random_unitary_tuple(8, 3, seed=5)
     cfg = SearchConfig(k=2, restarts=4, max_iters=12, seed=4)
     q0 = np.stack([haar_isometry(8, 2, substream(cfg.seed, 2, r)) for r in range(4)])
-    q_fin, traces = search._descend_subspace(t, q0, p, cfg.epsilon, cfg.max_iters, 2, range(4))
-    solo = [reference_subspace_descent(t, q, p, cfg.epsilon, cfg.max_iters) for q in q0]
+    q_fin, traces = search._descend_subspace(t, q0, p, cfg.max_iters, 2, range(4))
+    solo = [reference_subspace_descent(t, q, p, search.EPSILON, cfg.max_iters) for q in q0]
     _assert_solo(q_fin, traces, solo)
     # the estimate keeps the first of the smallest exact ratios
     est = minimize_riemannian(t, p, cfg)
@@ -193,7 +193,7 @@ def test_riemannian_stacks_equal_solo_descents(monkeypatch, p, entries):
 def test_random_candidate_stacks_equal_one_at_a_time(monkeypatch, k, entries):
     # entries=1: one candidate a stack; entries=150: stacks of one to three
     if entries is not None:
-        monkeypatch.setattr(search, "_CANDIDATE_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", entries)
     t = random_unitary_tuple(8, 3, seed=11)
     cfg = SearchConfig(k=k, samples=7, seed=2)
     for p in (1.5, 2.0, 3.0):
@@ -205,12 +205,14 @@ def test_random_candidate_stacks_equal_one_at_a_time(monkeypatch, k, entries):
 
 def test_riemannian_makes_one_objective_call_per_round(monkeypatch):
     # the objective sees each stack of restarts once, then in every
-    # line-search round each retracted trial row, accepted or not, once
-    seen, tried = [], []
+    # line-search round each retracted trial row, accepted or not, once;
+    # every call smooths with the one constant the embeddings use too
+    seen, tried, smoothing = [], [], set()
     objective, retract = search.objective_and_gradient, search.orthonormalize
 
     def counted_objective(t, q, p, epsilon):
         seen.append(len(q))
+        smoothing.add(epsilon)
         return objective(t, q, p, epsilon)
 
     def counted_retract(y):
@@ -225,3 +227,4 @@ def test_riemannian_makes_one_objective_call_per_round(monkeypatch):
     assert len(seen) == stacks + len(tried)
     assert sum(seen) == stacks * cfg.restarts + sum(tried)
     assert sum(tried) > est.iterations  # some trial rows were rejected
+    assert smoothing == {search.EPSILON} and embed.EPSILON is search.EPSILON

@@ -87,6 +87,10 @@ def test_entries_flags_and_exponents_must_be_json_types():
             matrix_from_json({"rows": 1, "cols": 2, "re": re, "im": [0.0, 0.0]})
     with pytest.raises(InvalidMatrix, match="im must be numbers"):
         matrix_from_json({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [False, 0.0]})
+    # nested lists once crashed in a broadcast, or passed as their entries
+    for re in ([[1.0], [0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0, 1.0]]):
+        with pytest.raises(InvalidMatrix, match="re must be numbers, got list"):
+            matrix_from_json({"rows": 2, "cols": 2, "re": re, "im": [0.0] * 4})
     with pytest.raises(InvalidMatrix, match="malformed"):  # an integer beyond float64
         matrix_from_json({"rows": 1, "cols": 2, "re": [10**400, 0.0], "im": [0.0, 0.0]})
     images = [[0.0, 1.0], [2.0, 3.0]]

@@ -219,13 +219,13 @@ def test_sweep_small_run_all_pass():
 def test_sweep_deterministic_bytes(monkeypatch):
     # the report is the same with one block, a block per instance, and blocks
     # of unequal length that split an n group between two blocks
-    from spexp import verify as verify_mod
+    from spexp import linalg, verify as verify_mod
 
     cfg = SweepConfig(instances=40, seed=3)
     a = dumps_canonical(sweep(cfg))
     assert len(list(verify_mod._blocks(cfg))) == 1
     for budget in (1, 700):
-        monkeypatch.setattr(verify_mod, "BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", budget)
         blocks = [{desc["n"] for desc, _, _ in block} for block in verify_mod._blocks(cfg)]
         if budget == 1:
             assert len(blocks) == 40
