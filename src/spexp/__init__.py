@@ -34,7 +34,6 @@ from .embed import (
     sp_expansion_estimate,
 )
 from .graphs import (
-    MetricMatrix,
     RegularGraph,
     build_complete,
     build_cycle,

@@ -14,6 +14,7 @@ configuration, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -82,6 +83,15 @@ MAX_CONTAINERS = 16_384
 _NOT_PARAMETERS = frozenset({"command", "func", "seed", "out", "quiet", "csv"})
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing path into an input error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpexpError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: dict) -> None:
     """Write the payload under its run manifest, derived from the parsed options."""
     parameters = {
@@ -95,20 +105,21 @@ def _emit(args, payload: dict) -> None:
     }
     text = dumps_canonical({"manifest": manifest, **payload})
     if args.out:
-        # a temp file of its own, so runs writing one output never collide
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(args.out) or ".", prefix=os.path.basename(args.out) + "."
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                mask = os.umask(0)
-                os.umask(mask)
-                os.fchmod(fh.fileno(), 0o666 & ~mask)  # the mode a plain open() gives
-                fh.write(text)
-            os.replace(tmp, args.out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with _writing(args.out):
+            # a temp file of its own, so runs writing one output never collide
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(args.out) or ".", prefix=os.path.basename(args.out) + "."
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    mask = os.umask(0)
+                    os.umask(mask)
+                    os.fchmod(fh.fileno(), 0o666 & ~mask)  # the mode a plain open() gives
+                    fh.write(text)
+                os.replace(tmp, args.out)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     if not args.quiet:
         sys.stdout.write(text)
 
@@ -134,20 +145,30 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Peak RSS per output entry of a gen run, which renders the payload as Python
+# lists and then as indented JSON text: (peak RSS - that of a tiny run) /
+# entries, with --out, on a 2-vCPU x86-64 VM.
+GEN_COUNT_BYTES = 93  # gen cycle --n 3000: 826 MiB peak, 9.0e6 adjacency counts
+GEN_COMPLEX_BYTES = 352  # gen unitary-tuple --n 800 --d 3: 681 MiB peak, 1.9e6 entries
+
+
 def _check_gen_size(kind: str, n: int, d: int, k: int) -> None:
-    """Raise InstanceTooLarge when the array gen fills, the n x n int64
-    adjacency of a graph (n = 2^k for a hypercube) or the (d, n, n)
-    complex128 stack of a tuple, exceeds MAX_TUPLE_BYTES. A negative size is
-    left to the input check of the function that makes the output."""
+    """Raise InstanceTooLarge when writing the output gen makes, the n x n
+    adjacency counts of a graph (n = 2^k for a hypercube) or the d x n x n
+    complex entries of a tuple, would take more than MAX_TUPLE_BYTES of memory
+    at the measured cost per entry. A negative size is left to the input check
+    of the function that makes the output."""
     n, d = max(n, 0), max(d, 0)
-    if kind == "hypercube":  # 8 (2^k)^2 = 2^(2k + 3) bytes, without building 2^k
-        too_large = 2 * k + 3 >= MAX_TUPLE_BYTES.bit_length()
-    elif kind in ("unitary-tuple", "permutation-tuple"):
-        too_large = 16 * d * n * n > MAX_TUPLE_BYTES
+    if kind == "hypercube":  # 2^k is never built beyond 2^32, which is refused anyway
+        n = 1 << min(max(k, 0), 32)
+    if kind in ("unitary-tuple", "permutation-tuple"):
+        need = GEN_COMPLEX_BYTES * d * n * n
     else:
-        too_large = 8 * n * n > MAX_TUPLE_BYTES
-    if too_large:
-        raise InstanceTooLarge(f"the {kind} output would exceed {MAX_TUPLE_BYTES} bytes")
+        need = GEN_COUNT_BYTES * n * n
+    if need > MAX_TUPLE_BYTES:
+        raise InstanceTooLarge(
+            f"writing the {kind} output would take about {need} bytes, over {MAX_TUPLE_BYTES}"
+        )
 
 
 def _cmd_gen(args) -> int:
@@ -309,11 +330,12 @@ def _cmd_embed(args) -> int:
             f"{g.n},{g.d},{args.target},{args.p},{m},"
             f"{est.value!r},{r_rho!r},{bound!r},{bound_kind}\n"
         )
-        write_header = not os.path.exists(args.csv)
-        with open(args.csv, "a") as fh:
-            if write_header:
-                fh.write(line)
-            fh.write(row)
+        with _writing(args.csv):
+            write_header = not os.path.exists(args.csv)
+            with open(args.csv, "a") as fh:
+                if write_header:
+                    fh.write(line)
+                fh.write(row)
     return EXIT_OK
 
 

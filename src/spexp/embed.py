@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .graphs import MetricMatrix, RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
+from .graphs import RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
 from .graphs import metric_ratio, shortest_path_metric
 from .linalg import _check_exponent, _check_seed, as_integers, substream
 from .search import EPSILON, descend
@@ -138,12 +138,24 @@ _SMOOTHED = {TARGET_LP: _lp_smoothed, TARGET_SP: _sp_smoothed}
 _POWERS = {TARGET_LP: _lp_powers, TARGET_SP: _sp_powers}
 
 
-def _pair_powers(f: VertexEmbedding) -> np.ndarray:
-    """(n, n) matrix of ||f(i) - f(j)||^p over all ordered pairs."""
-    out = np.empty((f.n, f.n))
-    for _, _, lo, hi, diff in _pair_blocks(f.images[None]):
-        out[lo:hi] = _POWERS[f.target](diff[0], lo, f.p).sum(axis=-1)
+def _pair_powers(x, target, p) -> np.ndarray:
+    """(S, n, n) matrices of ||x[s, i] - x[s, j]||^p over all ordered pairs of
+    each start of an (S, n, *image_shape) stack."""
+    out = np.empty((len(x), x.shape[1], x.shape[1]))
+    for a, b, lo, hi, diff in _pair_blocks(x):
+        out[a:b, lo:hi] = _POWERS[target](diff, lo, p).sum(axis=-1)
     return out
+
+
+def _exact_ratios(g, x, target, p) -> list:
+    """The exact embedding_ratio of each start of an (S, n, *image_shape) stack."""
+    ratios = []
+    for powers in _pair_powers(x, target, p):
+        num, den = _edge_pair_averages(g, powers)
+        if den <= 0:
+            raise DegenerateEmbedding("all images coincide; ratio undefined")
+        ratios.append((num / den) ** (1.0 / p))  # a Python float power, as _normalize takes
+    return ratios
 
 
 def embedding_ratio(g: RegularGraph, f: VertexEmbedding) -> float:
@@ -151,10 +163,7 @@ def embedding_ratio(g: RegularGraph, f: VertexEmbedding) -> float:
     target-norm distance between images."""
     if f.n != g.n:
         raise ShapeMismatch(f"embedding has {f.n} images, graph has {g.n} vertices")
-    num, den = _edge_pair_averages(g, _pair_powers(f))
-    if den <= 0:
-        raise DegenerateEmbedding("all images coincide; ratio undefined")
-    return (num / den) ** (1.0 / f.p)
+    return _exact_ratios(g, f.images[None], f.target, f.p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +188,15 @@ class DistortionReport:
     offending_pair: tuple | None = None
 
 
-def distortion(f: VertexEmbedding, rho: MetricMatrix) -> DistortionReport:
-    if f.n != rho.n:
-        raise ShapeMismatch(f"embedding has {f.n} images, metric {rho.n} points")
+def distortion(f: VertexEmbedding, rho: np.ndarray) -> DistortionReport:
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.shape != (f.n, f.n):
+        raise ShapeMismatch(f"embedding has {f.n} images, metric has shape {rho.shape}")
     i, j = np.triu_indices(f.n, k=1)
-    r = rho.dist[i, j]
+    r = rho[i, j]
     keep = r > 0
     i, j, r = i[keep], j[keep], r[keep]
-    delta = (_pair_powers(f) ** (1.0 / f.p))[i, j]
+    delta = (_pair_powers(f.images[None], f.target, f.p)[0] ** (1.0 / f.p))[i, j]
     # row-major (i, j) order: the first coincident pair, the first strict maxima
     zero = np.flatnonzero(delta == 0.0)
     if zero.size:
@@ -344,15 +354,13 @@ def _best_of_starts(g, inits, p, cfg, target) -> EmbedEstimate:
     if not len(x):
         raise NumericalFailure("no usable starting point")
     x_fin, traces = _descend_embedding(g, x, p, cfg.max_iters, target)
-    best = None
-    for x_pair in zip(x, x_fin):
-        for xi in x_pair:
-            f = VertexEmbedding(xi, target, p)
-            val = embedding_ratio(g, f)
-            if best is None or val < best.value:
-                best = EmbedEstimate(val, f)
-    best.starts, best.iterations = len(x), sum(len(trace) - 1 for trace in traces)
-    return best
+    # normalized start 0, its end, start 1, its end, ...
+    candidates = np.stack([x, x_fin], axis=1).reshape((-1,) + x.shape[1:])
+    ratios = _exact_ratios(g, candidates, target, p)
+    best = int(np.argmin(ratios))  # the first of equal minima: earlier wins ties
+    witness = VertexEmbedding(candidates[best], target, p)
+    iterations = sum(len(trace) - 1 for trace in traces)
+    return EmbedEstimate(ratios[best], witness, starts=len(x), iterations=iterations)
 
 
 def lp_expansion_estimate(

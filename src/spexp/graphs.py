@@ -317,23 +317,12 @@ def is_connected(g: RegularGraph) -> bool:
     return min(next(_hops(g, [0]))) >= 0
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
-    """Pairwise distances in hops: zero diagonal, symmetric."""
-
-    dist: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-
-def shortest_path_metric(g: RegularGraph) -> MetricMatrix:
-    """BFS hop distances; raises DisconnectedGraph when any pair is unreachable."""
+def shortest_path_metric(g: RegularGraph) -> np.ndarray:
+    """(n, n) BFS hop distances; raises DisconnectedGraph when any pair is unreachable."""
     dist = np.array(list(_hops(g, range(g.n))), dtype=np.float64)
     if np.any(dist < 0):
         raise DisconnectedGraph("graph is not connected")
-    return MetricMatrix(dist)
+    return dist
 
 
 @functools.lru_cache(maxsize=16)
@@ -350,7 +339,7 @@ def _edge_pair_averages(g: RegularGraph, powers: np.ndarray):
     return num, float(powers.sum()) / g.n**2
 
 
-def metric_ratio_parts(g: RegularGraph, rho: MetricMatrix, p: float):
+def metric_ratio_parts(g: RegularGraph, rho: np.ndarray, p: float):
     """(numerator, denominator) inside the p-th root of the metric ratio.
 
     numerator = edge-average of rho^p (undirected multiset, loops included in
@@ -358,17 +347,18 @@ def metric_ratio_parts(g: RegularGraph, rho: MetricMatrix, p: float):
     all n^2 pairs including the diagonal.
     """
     p = _check_exponent(p)
-    if rho.n != g.n:
-        raise ShapeMismatch(f"metric is on {rho.n} points, graph on {g.n}")
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.shape != (g.n, g.n):
+        raise ShapeMismatch(f"metric has shape {rho.shape}, graph has {g.n} vertices")
     if g.n < 2:
         raise DegenerateMetric("metric ratio needs at least two points")
-    num, den = _edge_pair_averages(g, rho.dist**p)
+    num, den = _edge_pair_averages(g, rho**p)
     if den <= 0:
         raise DegenerateMetric("all pairwise distances vanish")
     return num, den
 
 
-def metric_ratio(g: RegularGraph, rho: MetricMatrix, p: float) -> float:
+def metric_ratio(g: RegularGraph, rho: np.ndarray, p: float) -> float:
     """Edge-average over pair-average of rho^p, p-th-rooted.
 
     On the graph's own shortest-path metric the numerator is exactly 1 for

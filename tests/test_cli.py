@@ -274,12 +274,24 @@ def test_emit_writes_past_stale_tmp_and_cleans_up(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
-    # a failed replace leaves no temp file behind
+    # a failed replace is an input error and leaves no temp file behind
     target = tmp_path / "taken"
     target.mkdir()
-    with pytest.raises(OSError):
-        run_cli(["gen", "cycle", "--n", "4", "--out", str(target), "--quiet"])
+    assert run_cli(["gen", "cycle", "--n", "4", "--out", str(target), "--quiet"]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json", "c4.json.tmp", "taken"]
+
+
+def test_write_failures_are_input_errors(tmp_path, capsys):
+    # exit 1 means failing inequalities, so an unwritable report must not exit 1
+    missing = tmp_path / "missing" / "v.json"
+    assert run_cli(["verify", "--instances", "5", "--out", str(missing), "--quiet"]) == 2
+    assert f"cannot write {missing}" in capsys.readouterr().err
+    graph = tmp_path / "c4.json"
+    run_cli(["gen", "cycle", "--n", "4", "--out", str(graph), "--quiet"])
+    argv = ["embed", str(graph), "--restarts", "0", "--max-iters", "2", "--quiet"]
+    assert run_cli([*argv, "--csv", str(tmp_path)]) == 2
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json"]
 
 
 def test_verify_cli_exit_codes(tmp_path):
@@ -456,6 +468,9 @@ def test_gen_bad_params_is_input_error(tmp_path):
 
 GEN_TOO_LARGE = {
     "cycle": ["--n", "3000000000"],
+    # a 200 MB adjacency and a 52 MB tuple, each taking over 1 GiB to write as JSON
+    "cycle-rendered": ["--n", "5000"],
+    "unitary-tuple-rendered": ["--n", "1200", "--d", "3"],
     "complete": ["--n", "100000000"],
     "hypercube": ["--k", "40"],
     "hypercube-huge-k": ["--k", str(10**12)],  # 2^k is never built
@@ -475,7 +490,7 @@ def test_gen_refuses_an_output_too_large_before_building_it(case, tmp_path, caps
     for name in ("build_cycle", "build_complete", "build_hypercube", "random_regular",
                  "random_unitary_tuple", "tuple_from_permutations", "as_rng"):
         monkeypatch.setattr(cli, name, None)
-    kind = case.removesuffix("-huge-k").removesuffix("-perms")
+    kind = case.removesuffix("-huge-k").removesuffix("-perms").removesuffix("-rendered")
     argv = ["gen", kind] + [a.format(perms=perms) for a in GEN_TOO_LARGE[case]]
     assert run_cli(argv) == 3
     out, err = capsys.readouterr()

@@ -99,6 +99,16 @@ def test_embedding_ratio_rejects_constant_map():
             embedding_ratio(g, VertexEmbedding(np.zeros(shape), target, 1.0))
 
 
+@pytest.mark.parametrize("shape", [(7, 7), (8, 9), (64,)])
+def test_metric_of_the_wrong_shape_is_refused(shape):
+    g = build_cycle(8)
+    f = VertexEmbedding(np.arange(8.0)[:, None], TARGET_LP, 1.0)
+    with pytest.raises(ShapeMismatch):
+        metric_ratio(g, np.ones(shape), 1.0)
+    with pytest.raises(ShapeMismatch):
+        distortion(f, np.ones(shape))
+
+
 def test_embedding_ratio_rejects_size_mismatch():
     g = build_cycle(4)
     f = VertexEmbedding([np.zeros(2)] * 5, TARGET_LP, 1.0)

@@ -182,13 +182,13 @@ def test_exact_sweeps_reject_one_vertex():
 
 def test_shortest_path_metric_values():
     rho = shortest_path_metric(build_cycle(8))
-    assert rho.dist[0, 4] == 4.0
+    assert rho[0, 4] == 4.0
     rho_k4 = shortest_path_metric(build_complete(4))
-    assert rho_k4.dist[0, 3] == 1.0
+    assert rho_k4[0, 3] == 1.0
     rho_q3 = shortest_path_metric(build_hypercube(3))
-    assert rho_q3.dist[0b000, 0b111] == 3.0
-    np.testing.assert_array_equal(rho.dist, rho.dist.T)
-    np.testing.assert_array_equal(np.diag(rho.dist), 0.0)
+    assert rho_q3[0b000, 0b111] == 3.0
+    np.testing.assert_array_equal(rho, rho.T)
+    np.testing.assert_array_equal(np.diag(rho), 0.0)
 
 
 def test_shortest_path_metric_disconnected():
@@ -206,7 +206,7 @@ def test_metric_triangle_inequality_spot_check():
     for g in (build_cycle(9), build_hypercube(3), random_regular(12, 4, seed=3)):
         if not is_connected(g):
             continue
-        rho = shortest_path_metric(g).dist
+        rho = shortest_path_metric(g)
         for _ in range(50):
             i, j, k = rng.integers(0, g.n, size=3)
             assert rho[i, j] <= rho[i, k] + rho[k, j]
@@ -216,7 +216,7 @@ def test_metric_ratio_cycle8():
     # BFS oracle: ordered-pair distance sum on C_8 is 8 * 16 = 128
     g = build_cycle(8)
     rho = shortest_path_metric(g)
-    assert rho.dist.sum() == 128.0
+    assert rho.sum() == 128.0
     num, den = metric_ratio_parts(g, rho, 1.0)
     assert num == 1.0
     assert metric_ratio(g, rho, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -225,7 +225,7 @@ def test_metric_ratio_cycle8():
 def test_metric_ratio_hypercube():
     g = build_hypercube(3)
     rho = shortest_path_metric(g)
-    assert rho.dist.sum() == 96.0  # 8 vertices x sum 12 each
+    assert rho.sum() == 96.0  # 8 vertices x sum 12 each
     num, _ = metric_ratio_parts(g, rho, 1.0)
     assert num == 1.0
     assert metric_ratio(g, rho, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)

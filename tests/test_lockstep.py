@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexp import Subspace, embed, expansion_ratio_sp, minimize_random, minimize_riemannian
-from spexp import linalg, random_regular, random_unitary_tuple, search
+from spexp import linalg, lp_expansion_estimate, random_regular, random_unitary_tuple, search
+from spexp import sp_expansion_estimate
 from spexp.errors import NumericalFailure
 from spexp.embed import TARGET_LP, TARGET_SP, OptimizerConfig
 from spexp.linalg import haar_isometry, substream
 from spexp.search import SearchConfig, descend
 
 from util import (
+    reference_best_of_starts,
     reference_descend,
     reference_embedding_descent,
     reference_random_search,
@@ -166,6 +168,73 @@ def test_best_of_starts_refuses_when_every_start_coincides():
     inits = [np.ones((10, 2)), np.zeros((10, 2)), np.full((10, 2), -3.0)]
     with pytest.raises(NumericalFailure, match="no usable starting point"):
         embed._best_of_starts(g, inits, 1.5, OptimizerConfig(max_iters=5), TARGET_LP)
+
+
+def _assert_same_estimate(got, want):
+    assert repr(got.value) == repr(want.value)
+    assert np.array_equal(got.witness.images, want.witness.images)
+    assert (got.starts, got.iterations) == (want.starts, want.iterations)
+
+
+@pytest.mark.parametrize("split", [None, "rows", "starts"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("target", [TARGET_LP, TARGET_SP])
+def test_best_of_starts_equals_scoring_one_candidate_at_a_time(monkeypatch, target, m, split):
+    g = random_regular(10, 4, 3)
+    cfg = OptimizerConfig(restarts=2, max_iters=15, seed=5)
+    inits = embed._lp_init_points(g, m, cfg)
+    if target == TARGET_SP:
+        rng = np.random.default_rng(9)
+        inits = [rng.standard_normal((g.n, m, m)) for _ in range(3)]
+    inits.insert(1, np.ones_like(inits[0]))  # dropped by normalization
+    size = inits[0].size  # the entries of one start
+    # rows: blocks of three rows of one start; starts: blocks of three whole starts
+    if split is not None:
+        monkeypatch.setattr(embed, "_PAIR_ENTRIES", 3 * size * (g.n if split == "starts" else 1))
+    got = embed._best_of_starts(g, inits, 1.5, cfg, target)
+    _assert_same_estimate(got, reference_best_of_starts(g, inits, 1.5, cfg, target))
+    assert got.starts == len(inits) - 1
+    assert (got.witness.target, got.witness.p) == (target, 1.5)
+
+
+@pytest.mark.parametrize("target", [TARGET_LP, TARGET_SP])
+def test_best_of_starts_earlier_of_equal_starts_wins(target):
+    # -a ties a at every candidate: it has the same pair powers, and its
+    # descent is the negated descent of a, so the start given first wins
+    g = random_regular(10, 4, 3)
+    a = np.random.default_rng(4).standard_normal((10, 2) if target == TARGET_LP else (10, 2, 2))
+    cfg = OptimizerConfig(max_iters=10)
+    first = embed._best_of_starts(g, [a, -a], 1.5, cfg, target)
+    second = embed._best_of_starts(g, [-a, a], 1.5, cfg, target)
+    _assert_same_estimate(first, reference_best_of_starts(g, [a, -a], 1.5, cfg, target))
+    assert repr(first.value) == repr(second.value)
+    assert np.array_equal(first.witness.images, -second.witness.images)
+    assert not np.array_equal(first.witness.images, second.witness.images)
+
+
+@pytest.mark.parametrize(
+    "estimate, passes", [(lp_expansion_estimate, 1), (sp_expansion_estimate, 2)]
+)
+def test_an_estimate_scores_its_candidates_in_one_pass_and_wraps_only_the_winner(
+    monkeypatch, estimate, passes
+):
+    # sp_expansion_estimate runs the l_p estimate first: two passes, two winners
+    calls = {"_pair_powers": 0, "VertexEmbedding": 0}
+
+    def counting(name):
+        inner = getattr(embed, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(embed, name, wrapper)
+
+    counting("_pair_powers")
+    counting("VertexEmbedding")
+    est = estimate(random_regular(10, 4, 3), 1.5, 2, OptimizerConfig(restarts=3, max_iters=5))
+    assert calls == {"_pair_powers": passes, "VertexEmbedding": passes}
+    assert est.starts > 1
 
 
 @pytest.mark.parametrize("entries", [None, 100])

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from spexp import VertexEmbedding, distortion, embedding_ratio, random_regular
 from spexp import embed
 from spexp.embed import EPSILON, TARGET_LP, TARGET_SP
-from spexp.graphs import MetricMatrix
 
 from util import (
     reference_distortion,
@@ -148,6 +147,21 @@ def test_mirrored_sp_kernel_equals_the_full_pair_kernel(case, starts, entries):
 
 
 @SETTINGS
+@given(cases(), st.integers(1, 4), st.sampled_from([None, 50, 300]))
+def test_pair_powers_of_a_stack_equal_one_start_calls(case, starts, entries):
+    # entries=50 or 300: row blocks, and blocks that hold some of the starts
+    _, x, p, target = case
+    stack = np.stack([x * (1.0 + 0.5 * s) for s in range(starts)])
+    with pytest.MonkeyPatch.context() as mp:
+        if entries is not None:
+            mp.setattr(embed, "_PAIR_ENTRIES", entries)
+        got = embed._pair_powers(stack, target, p)
+        assert got.shape == (starts, len(x), len(x))
+        for s in range(starts):
+            assert np.array_equal(got[s], embed._pair_powers(stack[s : s + 1], target, p)[0])
+
+
+@SETTINGS
 @given(cases())
 def test_embedding_ratio_matches_the_pair_loop(case):
     g, x, p, target = case
@@ -167,7 +181,7 @@ def test_distortion_matches_the_pair_loop(case, metric_seed):
     r = np.triu(np.random.default_rng(metric_seed).integers(0, top, (n, n)), k=1)
     if metric_seed % 2:
         r[np.all(x[:, None] == x[None, :], axis=tuple(range(2, x.ndim + 1)))] = 0
-    rho = MetricMatrix(r + r.T)
+    rho = r + r.T
     f = VertexEmbedding(list(x), target, p)
     got = distortion(f, rho)
     d, expansion, contraction, exp_pair, con_pair, offending = reference_distortion(f, rho)
@@ -186,7 +200,7 @@ def test_distortion_ties_go_to_the_first_pair(target):
     x = [np.full(shape, v) for v in (0.0, 1.0, 0.0, 1.0)]
     r = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
     r[0, 2] = r[2, 0] = r[1, 3] = r[3, 1] = 0
-    report = distortion(VertexEmbedding(x, target, 1.5), MetricMatrix(r))
+    report = distortion(VertexEmbedding(x, target, 1.5), r)
     assert report.expansion_pair == report.contraction_pair == (0, 1)
     assert report.D == 1.0 and not report.infinite
 

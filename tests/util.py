@@ -9,7 +9,7 @@ import numpy as np
 from spexp import BistochasticTuple, Subspace, tuple_from_permutations
 from spexp import embed, verify
 from spexp.channels import RANK_TOL, expansion_ratio_sp
-from spexp.embed import EPSILON, TARGET_LP
+from spexp.embed import EPSILON, TARGET_LP, EmbedEstimate, VertexEmbedding, embedding_ratio
 from spexp.errors import NumericalFailure, RankDeficient
 from spexp.linalg import haar_isometry, haar_unitary, orthonormalize, substream
 from spexp.search import ARMIJO_C1, BACKTRACK, MIN_STEP, objective_and_gradient
@@ -408,7 +408,7 @@ def reference_distortion(f, rho):
     con_pair = None
     for i in range(f.n):
         for j in range(i + 1, f.n):
-            r = rho.dist[i, j]
+            r = rho[i, j]
             if r <= 0:
                 continue
             delta = reference_pair_distance(f, i, j)
@@ -514,6 +514,27 @@ def reference_embedding_descent(g, x, p, max_iters, target):
 
     value, slope = evaluate(x)
     return reference_descend(x, value, slope, evaluate, retract, 0.5, 1e-9, max_iters)
+
+
+def reference_best_of_starts(g, inits, p, cfg, target):
+    """embed._best_of_starts one candidate at a time: each start normalized
+    and descended alone, then the normalized start and its end each wrapped in
+    a VertexEmbedding and scored by embedding_ratio, in the order start 0, its
+    end, start 1, ...; the first strict minimum wins."""
+    best, starts, iterations = None, 0, 0
+    for init in inits:
+        x, ok = embed._normalize(np.array(init, dtype=np.float64)[None], p, embed._POWERS[target])
+        if not ok[0]:
+            continue
+        x_fin, trace, _ = reference_embedding_descent(g, x[0], p, cfg.max_iters, target)
+        starts, iterations = starts + 1, iterations + len(trace) - 1
+        for xi in (x[0], x_fin):
+            f = VertexEmbedding(xi, target, p)
+            value = embedding_ratio(g, f)
+            if best is None or value < best.value:
+                best = EmbedEstimate(value, f)
+    best.starts, best.iterations = starts, iterations
+    return best
 
 
 def reference_subspace_descent(t, q0, p, epsilon, max_iters):
