@@ -126,11 +126,10 @@ class ValidationReport:
     passed: bool
     left_deviation: float  # ||sum B_i* B_i - d Id||_F
     right_deviation: float  # ||sum B_i B_i* - d Id||_F
-    tol: float
 
 
-def validate_bistochastic(t: BistochasticTuple, tol: float = BISTOCH_TOL) -> ValidationReport:
-    """Check sum B_i* B_i = sum B_i B_i* = d * Id within tol * d * sqrt(n)."""
+def validate_bistochastic(t: BistochasticTuple) -> ValidationReport:
+    """Check sum B_i* B_i = sum B_i B_i* = d * Id within BISTOCH_TOL * d * sqrt(n)."""
     n, d = t.n, t.d
     left = np.zeros((n, n), dtype=np.complex128)
     right = np.zeros((n, n), dtype=np.complex128)
@@ -140,8 +139,8 @@ def validate_bistochastic(t: BistochasticTuple, tol: float = BISTOCH_TOL) -> Val
     target = d * np.eye(n)
     dev_l = float(np.linalg.norm(left - target))
     dev_r = float(np.linalg.norm(right - target))
-    bound = tol * d * np.sqrt(n)
-    return ValidationReport(dev_l <= bound and dev_r <= bound, dev_l, dev_r, tol)
+    bound = BISTOCH_TOL * d * np.sqrt(n)
+    return ValidationReport(dev_l <= bound and dev_r <= bound, dev_l, dev_r)
 
 
 def restriction_singular_values(b, v: Subspace) -> np.ndarray:

@@ -7,8 +7,9 @@ option of the subcommand except --seed, --out, --quiet and --csv, by its
 argparse dest, with unset (None) options left out. So gen manifests carry
 ``directed`` and ``no_loops`` too. Wall-clock duration goes to stderr so
 reruns with the same manifest produce byte-identical payloads. Exit codes:
-0 success, 1 verify found failing inequalities, 2 input error, 3 infeasible
-configuration, 4 numerical failure.
+0 success, 1 verify found failing inequalities, and otherwise the exit_code
+of the error's class (errors.py): 2 input error, 3 infeasible configuration,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -32,7 +32,6 @@ from .embed import (
     sp_expansion_estimate,
 )
 from .errors import (
-    DimensionTooLarge,
     InstanceTooLarge,
     InvalidParameters,
     NumericalFailure,
@@ -65,11 +64,6 @@ from .serialize import (
     tuple_to_json,
 )
 from .verify import MAX_TUPLE_BYTES, SweepConfig, sweep
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_INFEASIBLE = 3
-EXIT_NUMERICAL = 4
 
 # orjson has no nesting limit: it crashed (SIGSEGV) on objects nested 100,000
 # deep. The count of '[' and '{' bytes, in strings or not, bounds the depth
@@ -106,15 +100,12 @@ def _emit(args, payload: dict) -> None:
     text = dumps_canonical({"manifest": manifest, **payload})
     if args.out:
         with _writing(args.out):
-            # a temp file of its own, so runs writing one output never collide
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(args.out) or ".", prefix=os.path.basename(args.out) + "."
-            )
+            # a temp file of its own, so runs writing one output never collide;
+            # the kernel masks its mode by the umask, as for a plain open()
+            tmp = f"{args.out}.{os.urandom(8).hex()}"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
-                    mask = os.umask(0)
-                    os.umask(mask)
-                    os.fchmod(fh.fileno(), 0o666 & ~mask)  # the mode a plain open() gives
                     fh.write(text)
                 os.replace(tmp, args.out)
             except BaseException:
@@ -122,6 +113,16 @@ def _emit(args, payload: dict) -> None:
                 raise
     if not args.quiet:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    directory is missing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise SpexpError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise SpexpError(f"cannot write {path}: it is a directory")
 
 
 def _load_json(path: str) -> dict:
@@ -201,7 +202,7 @@ def _cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SpexpError(f"unknown kind {kind}")
     _emit(args, payload)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def _cmd_expansion(args) -> int:
             est = minimize_riemannian(t, args.p, cfg)
         result = {"estimate": estimate_to_json(est), "mode": args.mode}
     _emit(args, {"result": result})
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def _cmd_decompose(args) -> int:
     if np.any(recon != g.adjacency):
         raise NumericalFailure("decomposition failed to reconstruct the adjacency")
     _emit(args, permutations_to_json(perms))
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def _cmd_verify(args) -> int:
     )
     report = sweep(cfg)
     _emit(args, {"result": report})
-    return EXIT_OK if report["all_pass"] else 1
+    return 0 if report["all_pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def _cmd_embed(args) -> int:
                 if write_header:
                     fh.write(line)
                 fh.write(row)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +429,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _check_output(path)
         code = args.func(args)
-    except (InstanceTooLarge, DimensionTooLarge, UnsupportedStrategy) as exc:
-        print(f"spexp: infeasible configuration: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalFailure as exc:
-        print(f"spexp: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except SpexpError as exc:
-        print(f"spexp: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"spexp: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
     print(f"spexp: {args.command} finished in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .graphs import RegularGraph, _cut_ratio, _edge_pair_averages, is_connected
+from .graphs import RegularGraph, _check_symmetric, _cut_ratio, _edge_pair_averages, is_connected
 from .graphs import metric_ratio, shortest_path_metric
 from .linalg import _check_exponent, _check_seed, as_integers, substream
 from .search import EPSILON, descend
@@ -161,6 +161,7 @@ def _exact_ratios(g, x, target, p) -> list:
 def embedding_ratio(g: RegularGraph, f: VertexEmbedding) -> float:
     """((1/|E|) sum_E d_f^p / (1/n^2) sum_{i,j} d_f^p)^(1/p) with d_f the
     target-norm distance between images."""
+    _check_symmetric(g, "embedding ratio")
     if f.n != g.n:
         raise ShapeMismatch(f"embedding has {f.n} images, graph has {g.n} vertices")
     return _exact_ratios(g, f.images[None], f.target, f.p)[0]
@@ -251,13 +252,14 @@ class EmbedEstimate:
 
 
 def _laplacian(g: RegularGraph) -> np.ndarray:
-    a = ((g.adjacency + g.adjacency.T) / 2.0).astype(np.float64)
+    a = g.adjacency.astype(np.float64)
     return np.diag(a.sum(axis=1)) - a
 
 
 def l2_expansion_oracle(g: RegularGraph) -> float:
     """Exact l2 value sqrt(n * lambda_2 / (2|E|)): the ratio minimum is a
     Rayleigh quotient of the Laplacian on centered vectors."""
+    _check_symmetric(g, "l2 oracle")
     if not is_connected(g):
         raise InvalidParameters("l2 oracle needs a connected graph")
     lam = np.linalg.eigvalsh(_laplacian(g))
@@ -328,9 +330,8 @@ def _descend_embedding(g, x, p, max_iters, target):
     """Lock-step descent on the smoothed quotient ratio from the normalized
     (S, n, *image_shape) stack x; returns (final images, objective traces)."""
     smoothed, powers = _SMOOTHED[target], _POWERS[target]
-    # the pairs i < j weighted as embedding_ratio weighs them, made symmetric
-    upper = np.triu(g.adjacency, k=1).astype(np.float64)
-    w = upper + upper.T
+    # loops weigh pairs i = i, whose terms are zero
+    w = g.adjacency.astype(np.float64)
     edge_count = float(g.edge_count())
     shape = (-1,) + (1,) * (x.ndim - 1)
 
@@ -369,6 +370,7 @@ def lp_expansion_estimate(
     """Upper bound on the l_p expansion via multi-restart projected gradient
     over maps [n] -> R^m (spectral, sweep-cut and Gaussian starts)."""
     cfg = cfg or OptimizerConfig()
+    _check_symmetric(g, "estimator")
     if g.n < 2:
         raise InvalidParameters(f"estimator needs n >= 2 vertices, got n={g.n}")
     if m < 1:

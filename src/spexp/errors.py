@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules. Each class carries the exit code
+and the message label of its errors on the command line; subclasses inherit both."""
 
 
 class SpexpError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: an input error."""
+
+    exit_code = 2
+    label = ""
 
 
 class InvalidMatrix(SpexpError):
@@ -24,6 +28,9 @@ class InvalidDimension(SpexpError):
 class DimensionTooLarge(SpexpError):
     """Subspace dimension exceeds floor(n/2)."""
 
+    exit_code = 3
+    label = "infeasible configuration: "
+
 
 class RankDeficient(SpexpError):
     """Matrix does not have full column rank."""
@@ -40,9 +47,15 @@ class InvalidPermutation(SpexpError):
 class InstanceTooLarge(SpexpError):
     """Exhaustive search requested beyond the supported size."""
 
+    exit_code = 3
+    label = "infeasible configuration: "
+
 
 class UnsupportedStrategy(SpexpError):
     """Search strategy that the requested ratio mode does not support."""
+
+    exit_code = 3
+    label = "infeasible configuration: "
 
 
 class InvalidParameters(SpexpError):
@@ -71,3 +84,6 @@ class NonSmoothConfiguration(SpexpError):
 
 class NumericalFailure(SpexpError):
     """Optimizer produced a non-finite objective."""
+
+    exit_code = 4
+    label = "numerical failure: "

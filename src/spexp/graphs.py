@@ -68,6 +68,13 @@ class RegularGraph:
         return off // 2 + int(np.trace(a))
 
 
+def _check_symmetric(g: RegularGraph, what: str) -> None:
+    """Raise InvalidParameters unless g is symmetric: edge expansion, cuts,
+    metric and embedding ratios count undirected edges."""
+    if not g.symmetric:
+        raise InvalidParameters(f"{what} needs a symmetric graph")
+
+
 def build_cycle(n: int) -> RegularGraph:
     if n < 3:
         raise InvalidParameters(f"cycle needs n >= 3, got {n}")
@@ -158,7 +165,8 @@ def _hopcroft_karp(adj: list, n: int) -> list:
 
     ``adj[j]`` lists rows available to column j. Returns match_col with
     match_col[j] = matched row (or -1). Standard Hopcroft-Karp with BFS
-    layering and layered DFS augmentation.
+    layering and layered DFS augmentation; the DFS keeps its path on a list,
+    not on the call stack, so an augmenting path may be as long as n.
     """
     inf = 2 * n + 1
     match_col = [-1] * n
@@ -185,19 +193,29 @@ def _hopcroft_karp(adj: list, n: int) -> list:
         if barrier == inf:
             break
 
-        def dfs(j):
-            for r in adj[j]:
-                nxt = match_row[r]
-                if nxt == -1 or (dist[nxt] == dist[j] + 1 and dfs(nxt)):
-                    match_col[j] = r
-                    match_row[r] = j
-                    return True
-            dist[j] = inf
-            return False
-
         for j in range(n):
-            if match_col[j] == -1:
-                dfs(j)
+            if match_col[j] != -1:
+                continue
+            # the columns of the path from j, each with its rows not yet
+            # tried, and the row that leads from each column to the next
+            path, via = [(j, iter(adj[j]))], []
+            while path:
+                c, rows = path[-1]
+                r = next(rows, -1)
+                if r == -1:  # a dead end: leave it and back up
+                    dist[c] = inf
+                    path.pop()
+                    del via[len(path) - 1 :]
+                    continue
+                nxt = match_row[r]
+                if nxt == -1:  # a free row: flip the matching along the path
+                    for (col, _), row in zip(path, via + [r]):
+                        match_col[col] = row
+                        match_row[row] = col
+                    break
+                if dist[nxt] == dist[c] + 1:
+                    path.append((nxt, iter(adj[nxt])))
+                    via.append(r)
     return match_col
 
 
@@ -289,8 +307,7 @@ def edge_expansion_bruteforce(g: RegularGraph):
     Boundary counts edge multiplicities; loops contribute nothing. Returns
     (value, witness) with the lexicographically smallest witness on ties.
     """
-    if not g.symmetric:
-        raise InvalidParameters("edge expansion needs a symmetric graph")
+    _check_symmetric(g, "edge expansion")
     masks, sizes, boundary = _subset_boundaries(g.adjacency)
     return _lex_min(masks, boundary / (g.d * sizes))
 
@@ -346,6 +363,7 @@ def metric_ratio_parts(g: RegularGraph, rho: np.ndarray, p: float):
     |E| but contributing rho(i,i)=0); denominator = ordered-pair average over
     all n^2 pairs including the diagonal.
     """
+    _check_symmetric(g, "metric ratio")
     p = _check_exponent(p)
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (g.n, g.n):
@@ -378,8 +396,7 @@ def cut_oracle_l1(g: RegularGraph):
     which keeps the order and equality of these small-denominator rationals;
     lexicographically smallest witness on ties.
     """
-    if not g.symmetric:
-        raise InvalidParameters("cut oracle needs a symmetric graph")
+    _check_symmetric(g, "cut oracle")
     if not is_connected(g):
         raise DisconnectedGraph("cut oracle needs a connected graph")
     masks, sizes, boundary = _subset_boundaries(g.adjacency)

@@ -2,7 +2,8 @@
 
 Each checker evaluates one theorem-backed inequality between numbers (the
 Schatten ratios ratio_p and ratio_q, the rank ratio, sigma_max and d) and
-reports lhs, rhs and the slack rhs - lhs; a pass is slack >= -tol. A number
+reports lhs, rhs and the slack rhs - lhs; a pass is slack >= -RATIO_TOL
+(-SINGULAR_TOL for the singular bound), read when the checker runs. A number
 that is not finite and >= 0, or a d that is not an integer >= 1, raises
 InvalidParameters. The ratios may come from one (tuple, subspace) pair or be
 minima over subspaces, each taken at its own witness. The sweep reduces each
@@ -68,7 +69,6 @@ class InequalityReport:
     rhs: float
     slack: float
     passed: bool
-    tol: float
     instance: dict = field(default_factory=dict)
 
 
@@ -105,45 +105,37 @@ def _check_values(**values):
 
 def _report(checker, lhs, rhs, tol, instance):
     slack = rhs - lhs
-    return InequalityReport(checker, lhs, rhs, slack, slack >= -tol, tol, instance or {})
+    return InequalityReport(checker, lhs, rhs, slack, slack >= -tol, instance or {})
 
 
-def check_ratio_scaling(
-    ratio_p, ratio_q, d, p, q, tol: float = RATIO_TOL, instance=None
-) -> InequalityReport:
+def check_ratio_scaling(ratio_p, ratio_q, d, p, q, instance=None) -> InequalityReport:
     """ratio_p <= d^((p-q)/2) * ratio_q for p >= q >= 1."""
     _check_order(p, q)
     _check_values(ratio_p=ratio_p, ratio_q=ratio_q)
     rhs = _check_degree(d) ** ((p - q) / 2.0) * ratio_q
-    return _report("ratio_scaling", ratio_p, rhs, tol, instance)
+    return _report("ratio_scaling", ratio_p, rhs, RATIO_TOL, instance)
 
 
-def check_ratio_power(
-    ratio_p, ratio_q, p, q, tol: float = RATIO_TOL, instance=None
-) -> InequalityReport:
+def check_ratio_power(ratio_p, ratio_q, p, q, instance=None) -> InequalityReport:
     """ratio_q <= ratio_p^(q/p) for p >= q >= 1 (the Hoelder chain)."""
     _check_order(p, q)
     _check_values(ratio_p=ratio_p, ratio_q=ratio_q)
-    return _report("ratio_power", ratio_q, ratio_p ** (q / p), tol, instance)
+    return _report("ratio_power", ratio_q, ratio_p ** (q / p), RATIO_TOL, instance)
 
 
-def check_singular_bound(
-    sigma_max, d, tol: float = SINGULAR_TOL, instance=None
-) -> InequalityReport:
+def check_singular_bound(sigma_max, d, instance=None) -> InequalityReport:
     """max_i sigma_max(restriction of B_i) <= sqrt(d)."""
     _check_values(sigma_max=sigma_max)
     rhs = float(np.sqrt(_check_degree(d)))
-    return _report("singular_bound", sigma_max, rhs, tol, instance)
+    return _report("singular_bound", sigma_max, rhs, SINGULAR_TOL, instance)
 
 
-def check_rank_relation(
-    ratio_p, rank_ratio, d, p, tol: float = RATIO_TOL, instance=None
-) -> InequalityReport:
+def check_rank_relation(ratio_p, rank_ratio, d, p, instance=None) -> InequalityReport:
     """ratio_p <= d^(p/2) * rank_ratio."""
     _check_exponent(p)
     _check_values(ratio_p=ratio_p, rank_ratio=rank_ratio)
     rhs = _check_degree(d) ** (p / 2.0) * rank_ratio
-    return _report("rank_relation", ratio_p, rhs, tol, instance)
+    return _report("rank_relation", ratio_p, rhs, RATIO_TOL, instance)
 
 
 CHECKERS = ("ratio_scaling", "ratio_power", "singular_bound", "rank_relation")

@@ -36,7 +36,8 @@ def test_validate_identity_tuple_exact():
 
 def test_validate_haar_tuple():
     t = random_unitary_tuple(6, 4, seed=5)
-    assert validate_bistochastic(t, tol=1e-10).passed
+    report = validate_bistochastic(t)
+    assert max(report.left_deviation, report.right_deviation) <= 1e-10 * t.d * np.sqrt(t.n)
 
 
 def test_validate_rejects_scaled_identity():
@@ -210,7 +211,8 @@ def test_random_unitary_tuple_scalars_and_reproducibility():
     for b in t.matrices:
         assert abs(abs(b[0, 0]) - 1.0) <= 1e-12
     t1 = random_unitary_tuple(8, 3, seed=1)
-    assert validate_bistochastic(t1, tol=1e-10).passed
+    report = validate_bistochastic(t1)
+    assert max(report.left_deviation, report.right_deviation) <= 1e-10 * t1.d * np.sqrt(t1.n)
     t2 = random_unitary_tuple(8, 3, seed=1)
     for a, b in zip(t1.matrices, t2.matrices):
         assert np.array_equal(a, b)

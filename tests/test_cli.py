@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import spexp
-from spexp import cli
+from spexp import cli, errors
 from spexp.cli import MAX_CONTAINERS, _load_json, build_parser, main
-from spexp.errors import UnsupportedStrategy
+from spexp.errors import SpexpError, UnsupportedStrategy
 from spexp.serialize import graph_from_json, tuple_from_json, tuple_to_json
 from spexp import BistochasticTuple, random_unitary_tuple, validate_bistochastic
 
@@ -45,7 +45,8 @@ def test_gen_unitary_tuple(tmp_path):
         == 0
     )
     t = tuple_from_json(read_json(out)["tuple"])
-    assert validate_bistochastic(t, tol=1e-10).passed
+    report = validate_bistochastic(t)
+    assert max(report.left_deviation, report.right_deviation) <= 1e-10 * t.d * np.sqrt(t.n)
 
 
 def test_gen_unitary_tuple_reads_back_bit_for_bit(tmp_path):
@@ -266,7 +267,7 @@ def test_expansion_rejects_non_bistochastic_tuple(tmp_path, capsys):
     assert "left deviation" in err and "right deviation" in err
 
 
-def test_emit_writes_past_stale_tmp_and_cleans_up(tmp_path):
+def test_emit_writes_past_stale_tmp_and_cleans_up(tmp_path, monkeypatch):
     out = tmp_path / "c4.json"
     (tmp_path / "c4.json.tmp").mkdir()  # where a fixed temp name would collide
     assert run_cli(["gen", "cycle", "--n", "4", "--out", str(out), "--quiet"]) == 0
@@ -274,23 +275,86 @@ def test_emit_writes_past_stale_tmp_and_cleans_up(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
-    # a failed replace is an input error and leaves no temp file behind
+    # a directory as the output is refused before anything is written
     target = tmp_path / "taken"
     target.mkdir()
     assert run_cli(["gen", "cycle", "--n", "4", "--out", str(target), "--quiet"]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json", "c4.json.tmp", "taken"]
 
+    def fail(src, dst):
+        raise OSError("replace failed")
 
-def test_write_failures_are_input_errors(tmp_path, capsys):
-    # exit 1 means failing inequalities, so an unwritable report must not exit 1
-    missing = tmp_path / "missing" / "v.json"
-    assert run_cli(["verify", "--instances", "5", "--out", str(missing), "--quiet"]) == 2
-    assert f"cannot write {missing}" in capsys.readouterr().err
+    # a failed replace is an input error and leaves no temp file behind
+    monkeypatch.setattr(os, "replace", fail)
+    assert run_cli(["gen", "cycle", "--n", "4", "--out", str(out), "--quiet"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json", "c4.json.tmp", "taken"]
+
+
+def test_emit_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # a umask flipped for a moment would leave another thread's files unmasked
+    umask = os.umask(0o022)
+    os.umask(umask)
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    out = tmp_path / "c4.json"
+    assert run_cli(["gen", "cycle", "--n", "4", "--out", str(out), "--quiet"]) == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.json"]
+
+
+# the exit codes and stderr labels that cli.main sorted errors by before the
+# classes carried them
+_OLD_EXIT_CODES = {
+    "InstanceTooLarge": (3, "infeasible configuration: "),
+    "DimensionTooLarge": (3, "infeasible configuration: "),
+    "UnsupportedStrategy": (3, "infeasible configuration: "),
+    "NumericalFailure": (4, "numerical failure: "),
+}
+_ERROR_CLASSES = sorted(
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, SpexpError)
+)
+
+
+@pytest.mark.parametrize("name", _ERROR_CLASSES)
+def test_each_error_class_carries_its_exit_code(name, monkeypatch, capsys):
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    code, label = _OLD_EXIT_CODES.get(name, (2, ""))
+    assert run_cli(["verify", "--quiet"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"spexp: {label}boom\n"
+
+
+def test_write_failures_are_input_errors(tmp_path, monkeypatch, capsys):
+    # exit 1 means failing inequalities, so an unwritable report must not exit 1;
+    # the output paths are checked before the work runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
     graph = tmp_path / "c4.json"
     run_cli(["gen", "cycle", "--n", "4", "--out", str(graph), "--quiet"])
-    argv = ["embed", str(graph), "--restarts", "0", "--max-iters", "2", "--quiet"]
-    assert run_cli([*argv, "--csv", str(tmp_path)]) == 2
-    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "sweep", refuse)
+    monkeypatch.setattr(cli, "lp_expansion_estimate", refuse)
+    missing = tmp_path / "missing" / "v.json"
+    verify = ["verify", "--instances", "5", "--quiet"]
+    embed = ["embed", str(graph), "--restarts", "0", "--max-iters", "2", "--quiet"]
+    for argv, bad in (
+        (verify, ["--out", str(missing)]),
+        (verify, ["--out", str(tmp_path)]),
+        (embed, ["--out", str(missing)]),
+        (embed, ["--csv", str(tmp_path)]),
+        (embed, ["--csv", str(missing)]),
+    ):
+        assert run_cli(argv + bad) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"cannot write {bad[1]}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json"]
 
 

@@ -12,14 +12,18 @@ from spexp import (
     cut_oracle_l1,
     distortion,
     distortion_lower_bound,
+    edge_expansion_bruteforce,
     embedding_ratio,
     l2_expansion_oracle,
     lp_expansion_estimate,
     metric_ratio,
+    random_regular,
     shortest_path_metric,
     sp_expansion_estimate,
 )
+from spexp import embed
 from spexp.embed import TARGET_LP, TARGET_SP
+from spexp.graphs import metric_ratio_parts
 from spexp.errors import DegenerateEmbedding, InvalidExponent, InvalidParameters, ShapeMismatch
 
 
@@ -248,3 +252,31 @@ def test_distortion_lower_bound_exact_cases():
     h1_k4, _ = cut_oracle_l1(k4)
     assert h1_k4 == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert distortion_lower_bound(k4, 1.0, h1_k4) == pytest.approx(1.0, abs=1e-12)
+
+
+# each quantity counts undirected edges: on a directed graph it read only the
+# adjacency above the diagonal, so it depended on the vertex labels
+_NEED_SYMMETRIC = {
+    "edge_expansion_bruteforce": edge_expansion_bruteforce,
+    "cut_oracle_l1": cut_oracle_l1,
+    "metric_ratio_parts": lambda g: metric_ratio_parts(g, shortest_path_metric(g), 2.0),
+    "metric_ratio": lambda g: metric_ratio(g, shortest_path_metric(g), 2.0),
+    "distortion_lower_bound": lambda g: distortion_lower_bound(g, 2.0, 0.5),
+    "embedding_ratio": lambda g: embedding_ratio(
+        g, VertexEmbedding(np.arange(g.n, dtype=float)[:, None], TARGET_LP, 2.0)
+    ),
+    "l2_expansion_oracle": l2_expansion_oracle,
+    "lp_expansion_estimate": lambda g: lp_expansion_estimate(g, 2.0, 3),
+    "sp_expansion_estimate": lambda g: sp_expansion_estimate(g, 2.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEED_SYMMETRIC))
+def test_directed_graphs_are_refused(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran on a directed graph")
+
+    monkeypatch.setattr(embed, "descend", refuse)
+    g = random_regular(10, 3, 2, symmetric=False, allow_loops=False)
+    with pytest.raises(InvalidParameters, match="needs a symmetric graph"):
+        _NEED_SYMMETRIC[name](g)

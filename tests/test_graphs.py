@@ -24,7 +24,10 @@ from spexp.errors import (
     InvalidParameters,
     NotRegular,
 )
+from spexp import graphs
 from spexp.graphs import RegularGraph, is_connected, metric_ratio_parts
+
+from util import reference_hopcroft_karp
 
 
 def _rebuild_adjacency(perms, n):
@@ -148,6 +151,35 @@ def test_decompose_reconstruction_sweep():
         g = random_regular(n, d, seed=int(rng.integers(0, 2**31)), symmetric=bool(rng.integers(0, 2)))
         perms = decompose_permutations(g)
         np.testing.assert_array_equal(_rebuild_adjacency(perms, n), g.adjacency)
+
+
+def _matching_graphs():
+    rng = np.random.default_rng(27)
+    for _ in range(12):
+        n = int(rng.integers(2, 501))
+        d = int(rng.integers(1, 7))
+        symmetric = bool(rng.integers(0, 2))
+        if symmetric and d % 2 and n % 2:
+            n += 1
+        yield random_regular(n, d, int(rng.integers(0, 2**31)), symmetric=symmetric)
+    for n in (3, 4, 97, 500):
+        yield build_cycle(n)
+    for k in (1, 3, 6, 8):
+        yield build_hypercube(k)
+
+
+def test_decompose_matches_the_recursive_reference(monkeypatch):
+    got = [decompose_permutations(g) for g in _matching_graphs()]
+    monkeypatch.setattr(graphs, "_hopcroft_karp", reference_hopcroft_karp)
+    assert got == [decompose_permutations(g) for g in _matching_graphs()]
+
+
+def test_decompose_long_augmenting_paths():
+    # the recursive DFS raised RecursionError here
+    g = build_cycle(2001)
+    perms = decompose_permutations(g)
+    assert len(perms) == 2
+    np.testing.assert_array_equal(_rebuild_adjacency(perms, g.n), g.adjacency)
 
 
 def test_edge_expansion_cycle8():

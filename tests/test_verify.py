@@ -1,5 +1,8 @@
 """Inequality checkers and the randomized sweep."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,12 +30,14 @@ from spexp.errors import (
 from spexp.serialize import dumps_canonical, matrix_from_json, tuple_from_json
 from spexp.channels import (
     Subspace,
+    ValidationReport,
     expansion_ratio_dim,
     expansion_ratio_sp,
     restriction_singular_values,
+    validate_bistochastic,
 )
 from spexp.linalg import haar_unitary
-from spexp.verify import CHECKERS, MAX_TUPLE_BYTES
+from spexp.verify import CHECKERS, MAX_TUPLE_BYTES, InequalityReport
 
 from util import coord, cycle_tuple, identity_tuple, reference_sweep
 
@@ -271,14 +276,16 @@ def test_sweep_matches_reference_oracle_on_random_ranges(instances, n, d, p, see
 
 
 def test_sweep_failure_path_serializes_and_replays(monkeypatch, capsys):
-    # a hostile tolerance fails ratio_scaling on every instance; the checkers
-    # are looked up on spexp.verify at call time, so the sweep sees the patch
+    # a wrapper fails ratio_scaling on every instance; the checkers are looked
+    # up on spexp.verify at call time, so the sweep sees the patch
     from spexp import verify as verify_mod
     from spexp.cli import main
 
     real = verify_mod.check_ratio_scaling
     monkeypatch.setattr(
-        verify_mod, "check_ratio_scaling", lambda *args, **kw: real(*args, tol=-10.0, **kw)
+        verify_mod,
+        "check_ratio_scaling",
+        lambda *args, **kw: dataclasses.replace(real(*args, **kw), passed=False),
     )
     cfg = SweepConfig(instances=6, seed=13)
     report = sweep(cfg)
@@ -296,14 +303,16 @@ def test_sweep_failure_path_serializes_and_replays(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_sweep_failure_serialization_is_replayable():
-    # force a failure with a hostile tolerance and replay the instance
+def test_sweep_failure_serialization_is_replayable(monkeypatch):
+    # force a failure with a hostile tolerance, read when the checker runs,
+    # and replay the instance
     from spexp import verify as verify_mod
 
+    monkeypatch.setattr(verify_mod, "RATIO_TOL", -10.0)
     cfg = SweepConfig(instances=5, seed=13)
     t, v, p, q, desc = verify_mod._draw_instance(cfg, 2)
     report = verify_mod.check_ratio_scaling(
-        ratio(t, v, p), ratio(t, v, q), t.d, p, q, tol=-10.0, instance=desc
+        ratio(t, v, p), ratio(t, v, q), t.d, p, q, instance=desc
     )
     assert not report.passed
     frozen = verify_mod._serialize_failure(cfg, report)
@@ -359,3 +368,18 @@ def test_sweep_config_refuses_tuples_above_limit():
 def test_sweep_config_accepts_smallest_ranges():
     cfg = SweepConfig(instances=3, n_range=(2, 2), d_range=(1, 1), p_range=(3.0, 3.0))
     assert sweep(cfg)["all_pass"]
+
+
+def test_tolerances_are_constants_not_parameters():
+    # BISTOCH_TOL, RATIO_TOL and SINGULAR_TOL are read when a check runs;
+    # no caller can pass its own
+    for fn in (
+        validate_bistochastic,
+        check_ratio_scaling,
+        check_ratio_power,
+        check_singular_bound,
+        check_rank_relation,
+    ):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    for report in (ValidationReport, InequalityReport):
+        assert "tol" not in {f.name for f in dataclasses.fields(report)}, report.__name__

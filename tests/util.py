@@ -1,6 +1,7 @@
 """Shared fixtures-in-code for the test suite: small canonical instances and
 the independent oracles used to freeze expected values."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -107,6 +108,51 @@ def reference_cut_oracle_l1(g):
 
     value, witness = _first_minimum((ratio(s), s) for s in _subsets(n))
     return float(value), witness
+
+
+def reference_hopcroft_karp(adj: list, n: int) -> list:
+    """graphs._hopcroft_karp with a recursive DFS, which visits the rows in
+    the same order; the call stack bounds its augmenting paths (a cycle of
+    about 2,000 vertices exceeds the default recursion limit)."""
+    inf = 2 * n + 1
+    match_col = [-1] * n
+    match_row = [-1] * n
+    while True:
+        dist = [inf] * n
+        queue = deque()
+        for j in range(n):
+            if match_col[j] == -1:
+                dist[j] = 0
+                queue.append(j)
+        barrier = inf
+        while queue:
+            j = queue.popleft()
+            if dist[j] >= barrier:
+                continue
+            for r in adj[j]:
+                nxt = match_row[r]
+                if nxt == -1:
+                    barrier = min(barrier, dist[j] + 1)
+                elif dist[nxt] == inf:
+                    dist[nxt] = dist[j] + 1
+                    queue.append(nxt)
+        if barrier == inf:
+            break
+
+        def dfs(j):
+            for r in adj[j]:
+                nxt = match_row[r]
+                if nxt == -1 or (dist[nxt] == dist[j] + 1 and dfs(nxt)):
+                    match_col[j] = r
+                    match_row[r] = j
+                    return True
+            dist[j] = inf
+            return False
+
+        for j in range(n):
+            if match_col[j] == -1:
+                dfs(j)
+    return match_col
 
 
 def reference_coordinate(t, p, mode: str, rank_tol: float = RANK_TOL):
