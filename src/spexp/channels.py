@@ -25,7 +25,8 @@ from .errors import (
     InvalidPermutation,
     ShapeMismatch,
 )
-from .linalg import _check_exponent, as_integers, as_matrix, haar_isometry, haar_unitary, substream
+from .linalg import _check_exponent, as_count, as_integers, as_matrix, haar_isometry, haar_unitary
+from .linalg import substream
 
 BISTOCH_TOL = 1e-9
 RANK_TOL = 1e-8
@@ -98,7 +99,7 @@ class Subspace:
     @classmethod
     def coordinate(cls, n: int, indices) -> "Subspace":
         """Span of the canonical basis vectors listed in ``indices`` (0-based)."""
-        idx = sorted(int(i) for i in indices)
+        idx = sorted(as_integers(indices, "indices", InvalidDimension).tolist())
         if len(set(idx)) != len(idx) or (idx and (idx[0] < 0 or idx[-1] >= n)):
             raise InvalidDimension(f"indices must be distinct members of range({n})")
         q = np.zeros((n, len(idx)), dtype=np.complex128)
@@ -261,6 +262,7 @@ def tuple_from_permutations(perms) -> BistochasticTuple:
 
 def random_unitary_tuple(n: int, d: int, seed) -> BistochasticTuple:
     """d independent Haar unitaries; bistochastic because each is unitary."""
+    n, d = as_count(n, "n", None, InvalidDimension), as_count(d, "d", None, InvalidDimension)
     if n < 1 or d < 1:
         raise InvalidDimension(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if isinstance(seed, np.random.Generator):

@@ -174,9 +174,14 @@ def _check_gen_size(kind: str, n: int, d: int, k: int) -> None:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    # every option lands in the manifest, so one this kind never reads is refused
+    if args.perms is not None and kind != "permutation-tuple":
+        raise InvalidParameters("--perms is used only by permutation-tuple")
+    if (args.directed or args.no_loops) and kind != "random-regular":
+        raise InvalidParameters("--directed and --no-loops are used only by random-regular")
     seed = _check_seed(args.seed)
     n, d = args.n, args.d
-    if kind == "permutation-tuple" and args.perms:
+    if kind == "permutation-tuple" and args.perms is not None:
         perms = permutations_from_json(_load_json(args.perms))
         n, d = len(perms[0]), len(perms)
     _check_gen_size(kind, n, d, args.k)  # before anything is drawn or built
@@ -194,7 +199,7 @@ def _cmd_gen(args) -> int:
     elif kind == "unitary-tuple":
         payload = {"tuple": tuple_to_json(random_unitary_tuple(args.n, args.d, seed))}
     elif kind == "permutation-tuple":
-        if not args.perms:
+        if args.perms is None:
             rng = as_rng(seed)
             perms = [rng.permutation(args.n).tolist() for _ in range(args.d)]
         t = tuple_from_permutations(perms)

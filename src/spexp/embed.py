@@ -22,9 +22,9 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .graphs import RegularGraph, _check_symmetric, _cut_ratio, _edge_pair_averages, is_connected
-from .graphs import metric_ratio, shortest_path_metric
-from .linalg import _check_exponent, _check_seed, as_integers, substream
+from .graphs import RegularGraph, _check_connected, _check_symmetric, _cut_ratio
+from .graphs import _edge_pair_averages, metric_ratio, shortest_path_metric
+from .linalg import _check_exponent, as_count, substream
 from .search import EPSILON, descend
 
 TARGET_LP = "vector-lp"
@@ -236,11 +236,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            setattr(self, name, int(as_integers(getattr(self, name), name)))
-        _check_seed(self.seed)
-        if self.restarts < 0 or self.max_iters < 1:
-            raise InvalidParameters("need restarts >= 0 and max_iters >= 1")
+        self.restarts = as_count(self.restarts, "restarts")
+        self.max_iters = as_count(self.max_iters, "max_iters", 1)
+        self.seed = as_count(self.seed, "seed")
 
 
 @dataclass
@@ -260,8 +258,7 @@ def l2_expansion_oracle(g: RegularGraph) -> float:
     """Exact l2 value sqrt(n * lambda_2 / (2|E|)): the ratio minimum is a
     Rayleigh quotient of the Laplacian on centered vectors."""
     _check_symmetric(g, "l2 oracle")
-    if not is_connected(g):
-        raise InvalidParameters("l2 oracle needs a connected graph")
+    _check_connected(g, "l2 oracle")
     lam = np.linalg.eigvalsh(_laplacian(g))
     return float(np.sqrt(g.n * lam[1] / (2.0 * g.edge_count())))
 
@@ -373,10 +370,10 @@ def lp_expansion_estimate(
     _check_symmetric(g, "estimator")
     if g.n < 2:
         raise InvalidParameters(f"estimator needs n >= 2 vertices, got n={g.n}")
+    m = as_count(m, "m", None)
     if m < 1:
         raise InvalidParameters("target dimension m must be >= 1")
-    if not is_connected(g):
-        raise InvalidParameters("estimator needs a connected graph")
+    _check_connected(g, "estimator")
     p = _check_exponent(p)
     inits = _lp_init_points(g, m, cfg)
     return _best_of_starts(g, inits, p, cfg, TARGET_LP)
@@ -399,8 +396,7 @@ def sp_expansion_estimate(
     """
     cfg = cfg or OptimizerConfig()
     lp_result = lp_expansion_estimate(g, p, m, cfg)  # also rejects bad g, p and m
-    p = float(p)
-    n = g.n
+    p, n, m = float(p), g.n, lp_result.witness.m
     diag_lift = np.zeros((n, m, m))
     diag_lift[:, np.arange(m), np.arange(m)] = lp_result.witness.images
     inits = [diag_lift]

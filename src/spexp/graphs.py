@@ -25,7 +25,7 @@ from .errors import (
     NotRegular,
     ShapeMismatch,
 )
-from .linalg import _check_exponent, as_integers, as_rng
+from .linalg import _check_exponent, as_count, as_integers, as_rng
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -43,7 +43,7 @@ class RegularGraph:
         if not isinstance(self.symmetric, (bool, np.bool_)):
             raise InvalidParameters(f"symmetric must be a boolean, got {self.symmetric!r}")
         for field in ("n", "d"):
-            object.__setattr__(self, field, int(as_integers(getattr(self, field), field)))
+            object.__setattr__(self, field, as_count(getattr(self, field), field))
         a = as_integers(self.adjacency, "adjacency counts")
         if a.shape != (self.n, self.n):
             raise ShapeMismatch(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
@@ -75,7 +75,14 @@ def _check_symmetric(g: RegularGraph, what: str) -> None:
         raise InvalidParameters(f"{what} needs a symmetric graph")
 
 
+def _check_connected(g: RegularGraph, what: str) -> None:
+    """Raise DisconnectedGraph unless every vertex reaches every other."""
+    if not is_connected(g):
+        raise DisconnectedGraph(f"{what} needs a connected graph")
+
+
 def build_cycle(n: int) -> RegularGraph:
+    n = as_count(n, "n", None)
     if n < 3:
         raise InvalidParameters(f"cycle needs n >= 3, got {n}")
     a = np.zeros((n, n), dtype=np.int64)
@@ -86,6 +93,7 @@ def build_cycle(n: int) -> RegularGraph:
 
 
 def build_complete(n: int) -> RegularGraph:
+    n = as_count(n, "n", None)
     if n < 2:
         raise InvalidParameters(f"complete graph needs n >= 2, got {n}")
     a = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
@@ -93,6 +101,7 @@ def build_complete(n: int) -> RegularGraph:
 
 
 def build_hypercube(k: int) -> RegularGraph:
+    k = as_count(k, "k", None)
     if k < 1:
         raise InvalidParameters(f"hypercube needs k >= 1, got {k}")
     n = 1 << k
@@ -133,6 +142,7 @@ def random_regular(
     add one random involution (a perfect matching; with ``allow_loops`` its
     fixed points become loops). Asymmetric graphs sum d permutations.
     """
+    n, d = as_count(n, "n", None), as_count(d, "d", None)
     if n < 1 or d < 1:
         raise InvalidParameters(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if not allow_loops and symmetric and d % 2 == 1 and n % 2 == 1:
@@ -397,7 +407,6 @@ def cut_oracle_l1(g: RegularGraph):
     lexicographically smallest witness on ties.
     """
     _check_symmetric(g, "cut oracle")
-    if not is_connected(g):
-        raise DisconnectedGraph("cut oracle needs a connected graph")
+    _check_connected(g, "cut oracle")
     masks, sizes, boundary = _subset_boundaries(g.adjacency)
     return _lex_min(masks, _cut_ratio(boundary, sizes, g.n, g.edge_count()))

@@ -78,22 +78,33 @@ def as_integers(x, name: str, error=InvalidParameters) -> np.ndarray:
     return b
 
 
+def as_count(x, name: str, minimum: int | None = 0, error=InvalidParameters) -> int:
+    """x as a Python int >= minimum (any 64-bit integer when minimum is None),
+    by the rule of as_integers; a plain int in range skips its type scan."""
+    low = -(1 << 63) if minimum is None else minimum
+    if type(x) is int and low <= x < 1 << 63:
+        return x
+    a = as_integers(x, name, error)
+    if a.ndim == 0 and a >= low:
+        return int(a)
+    if minimum is None:
+        raise error(f"{name} must be an integer, got {x!r}")
+    what = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+    raise error(f"{name} must be {what}, got {x!r}")
+
+
 def _check_seed(seed):
-    """numpy seeds only from non-negative integers."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParameters(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    """A Generator as it is; any other seed a non-negative integer."""
+    return seed if isinstance(seed, np.random.Generator) else as_count(seed, "seed")
 
 
 def as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(_check_seed(seed))
+    return np.random.default_rng(_check_seed(seed))  # a Generator comes back unaltered
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream for (seed, key...); order-independent."""
-    return np.random.default_rng([_check_seed(int(seed)), *[int(k) for k in key]])
+    return np.random.default_rng([as_count(seed, "seed"), *(as_count(k, "key") for k in key)])
 
 
 def _check_exponent(p: float) -> float:

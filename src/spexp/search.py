@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailure,
 )
 from .graphs import _lex_min, _subset_boundaries
-from .linalg import _check_exponent, _check_seed, _ginibre, _phase_fixed_qr, as_integers, as_matrix
+from .linalg import _check_exponent, _ginibre, _phase_fixed_qr, as_count, as_matrix
 from .linalg import batches, orthonormalize, substream
 
 # not called here; bound because bench/tracing.py wraps them by attribute
@@ -60,14 +60,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.k is not None:
-            self.k = int(as_integers(self.k, "k"))
-        for name in ("samples", "restarts", "max_iters", "seed"):
-            setattr(self, name, int(as_integers(getattr(self, name), name)))
-        _check_seed(self.seed)
-        if self.k is not None and self.k < 1:
-            raise InvalidParameters(f"k must be an integer >= 1 or None, got {self.k!r}")
-        if self.samples < 1 or self.restarts < 1 or self.max_iters < 1:
-            raise InvalidParameters("counts must be >= 1")
+            self.k = as_count(self.k, "k", 1)
+        self.samples = as_count(self.samples, "samples", 1)
+        self.restarts = as_count(self.restarts, "restarts", 1)
+        self.max_iters = as_count(self.max_iters, "max_iters", 1)
+        self.seed = as_count(self.seed, "seed")
 
     def dims(self, n: int) -> list:
         if n < 2:
@@ -76,7 +73,7 @@ class SearchConfig:
             return list(range(1, n // 2 + 1))
         if self.k > n // 2:
             raise DimensionTooLarge(f"k={self.k} exceeds floor(n/2)={n // 2}")
-        return [int(self.k)]
+        return [self.k]
 
 
 @dataclass

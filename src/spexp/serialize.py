@@ -21,7 +21,7 @@ from .channels import BistochasticTuple, Subspace, check_permutation
 from .embed import TARGET_LP, VertexEmbedding
 from .errors import InvalidMatrix, InvalidParameters
 from .graphs import RegularGraph
-from .linalg import _check_numbers, as_integers, as_matrix, as_numbers
+from .linalg import _check_numbers, as_count, as_matrix, as_numbers
 from .search import ExpansionEstimate
 
 
@@ -45,9 +45,8 @@ def matrix_from_json(obj) -> np.ndarray:
         re, im = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix object: {exc}") from exc
-    rows, cols = as_integers(shape, "rows and cols", InvalidMatrix).tolist()
-    if rows < 0 or cols < 0:
-        raise InvalidMatrix(f"rows and cols must be >= 0, got {rows} and {cols}")
+    rows = as_count(shape[0], "rows", error=InvalidMatrix)
+    cols = as_count(shape[1], "cols", error=InvalidMatrix)
     if re.size != rows * cols or im.size != rows * cols:
         raise InvalidMatrix("matrix entry count does not match rows*cols")
     m = np.empty(rows * cols, dtype=np.complex128)
@@ -65,9 +64,9 @@ def tuple_from_json(obj) -> BistochasticTuple:
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"malformed tuple object: {exc}") from exc
     t = BistochasticTuple(mats)
-    if "n" in obj and int(as_integers(obj["n"], "n")) != t.n:
+    if "n" in obj and as_count(obj["n"], "n") != t.n:
         raise InvalidParameters(f"declared n={obj['n']} but matrices are {t.n}x{t.n}")
-    if "d" in obj and int(as_integers(obj["d"], "d")) != t.d:
+    if "d" in obj and as_count(obj["d"], "d") != t.d:
         raise InvalidParameters(f"declared d={obj['d']} but tuple has {t.d} matrices")
     return t
 
@@ -127,7 +126,7 @@ def embedding_from_json(obj) -> VertexEmbedding:
         raise InvalidParameters(f"malformed embedding object: {exc}") from exc
     f = VertexEmbedding(images, target, p)
     for key, size in (("n", f.n), ("m", f.m)):
-        if key in obj and int(as_integers(obj[key], key)) != size:
+        if key in obj and as_count(obj[key], key) != size:
             raise InvalidParameters(f"declared {key}={obj[key]} but the images give {key}={size}")
     return f
 

@@ -46,11 +46,12 @@ from .channels import (  # noqa: F401
 from .errors import InstanceTooLarge, InvalidExponentOrder, InvalidParameters
 from .linalg import (  # noqa: F401
     _check_exponent,
-    _check_seed,
     _ginibre,
     _phase_fixed_qr,
+    as_count,
     as_integers,
     as_matrix,
+    as_numbers,
     batches,
     haar_isometry,
     haar_unitary,
@@ -82,16 +83,6 @@ def _check_order(p: float, q: float):
     _check_exponent(q)
 
 
-def _check_degree(d) -> int:
-    """d as an int >= 1; a plain int below 2^63 skips the type scan of as_integers."""
-    if type(d) is int and 0 < d < 1 << 63:
-        return d
-    a = as_integers(d, "d")
-    if a.ndim or a < 1:
-        raise InvalidParameters(f"d must be an integer >= 1, got {d!r}")
-    return int(a)
-
-
 def _check_values(**values):
     """Each value a finite number >= 0 (NaN fails the comparison)."""
     for name, x in values.items():
@@ -112,7 +103,7 @@ def check_ratio_scaling(ratio_p, ratio_q, d, p, q, instance=None) -> InequalityR
     """ratio_p <= d^((p-q)/2) * ratio_q for p >= q >= 1."""
     _check_order(p, q)
     _check_values(ratio_p=ratio_p, ratio_q=ratio_q)
-    rhs = _check_degree(d) ** ((p - q) / 2.0) * ratio_q
+    rhs = as_count(d, "d", 1) ** ((p - q) / 2.0) * ratio_q
     return _report("ratio_scaling", ratio_p, rhs, RATIO_TOL, instance)
 
 
@@ -126,7 +117,7 @@ def check_ratio_power(ratio_p, ratio_q, p, q, instance=None) -> InequalityReport
 def check_singular_bound(sigma_max, d, instance=None) -> InequalityReport:
     """max_i sigma_max(restriction of B_i) <= sqrt(d)."""
     _check_values(sigma_max=sigma_max)
-    rhs = float(np.sqrt(_check_degree(d)))
+    rhs = float(np.sqrt(as_count(d, "d", 1)))
     return _report("singular_bound", sigma_max, rhs, SINGULAR_TOL, instance)
 
 
@@ -134,7 +125,7 @@ def check_rank_relation(ratio_p, rank_ratio, d, p, instance=None) -> InequalityR
     """ratio_p <= d^(p/2) * rank_ratio."""
     _check_exponent(p)
     _check_values(ratio_p=ratio_p, rank_ratio=rank_ratio)
-    rhs = _check_degree(d) ** (p / 2.0) * rank_ratio
+    rhs = as_count(d, "d", 1) ** (p / 2.0) * rank_ratio
     return _report("rank_relation", ratio_p, rhs, RATIO_TOL, instance)
 
 
@@ -153,20 +144,20 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("instances", "seed"):
-            setattr(self, name, int(as_integers(getattr(self, name), name)))
-        _check_seed(self.seed)
-        for name in ("n_range", "d_range"):
-            setattr(self, name, tuple(as_integers(getattr(self, name), name).tolist()))
+        self.instances = as_count(self.instances, "instances")
+        self.seed = as_count(self.seed, "seed")
+        for name, read in (("n_range", as_integers), ("d_range", as_integers),
+                           ("p_range", as_numbers)):
+            pair = read(getattr(self, name), name)
+            if pair.shape != (2,):
+                raise InvalidParameters(f"{name} must be a pair, got {getattr(self, name)!r}")
+            setattr(self, name, tuple(pair.tolist()))
         (n_min, n_max), (d_min, d_max), (p_min, p_max) = self.n_range, self.d_range, self.p_range
-        if self.instances < 0:
-            raise InvalidParameters(f"instances must be >= 0, got {self.instances}")
         if not 2 <= n_min <= n_max:
             raise InvalidParameters(f"need 2 <= n_min <= n_max, got n range {self.n_range}")
         if not 1 <= d_min <= d_max:
             raise InvalidParameters(f"need 1 <= d_min <= d_max, got d range {self.d_range}")
-        # NaN fails every comparison; p_min <= p_max bounds p_min by a finite p_max
-        if not (np.isfinite(p_max) and 1 <= p_min <= p_max):
+        if not 1 <= p_min <= p_max < np.inf:  # NaN fails every comparison
             raise InvalidParameters(
                 f"need finite 1 <= p_min <= p_max, got p range {self.p_range}"
             )

@@ -16,6 +16,7 @@ from spexp import (
 )
 from spexp.errors import (
     DimensionTooLarge,
+    InvalidDimension,
     InvalidMatrix,
     InvalidPermutation,
     ShapeMismatch,
@@ -286,3 +287,14 @@ def test_conjugation_covariance():
         a = expansion_ratio_sp(t, v, p).value
         b = expansion_ratio_sp(t_conj, v_conj, p).value
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def test_random_unitary_tuple_reads_sizes_as_integers():
+    ref = random_unitary_tuple(4, 2, 3).matrices
+    again = random_unitary_tuple(4.0, np.int64(2), 3.0).matrices
+    assert ref.tobytes() == again.tobytes()
+    for n, d in ((4.5, 2), (4, True), ("4", 2), (4, None)):
+        with pytest.raises(InvalidDimension, match="must be integers"):
+            random_unitary_tuple(n, d, 3)
+    with pytest.raises(InvalidDimension, match="^need n >= 1 and d >= 1, got n=-1, d=2$"):
+        random_unitary_tuple(-1, 2, 3)

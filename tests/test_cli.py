@@ -561,6 +561,33 @@ def test_gen_refuses_an_output_too_large_before_building_it(case, tmp_path, caps
     assert out == "" and "infeasible configuration" in err and "bytes" in err
 
 
+GEN_FLAG_USERS = {"--perms": "permutation-tuple", "--directed": "random-regular",
+                  "--no-loops": "random-regular"}
+
+
+@pytest.mark.parametrize("flag", sorted(GEN_FLAG_USERS))
+def test_gen_refuses_a_flag_its_kind_never_reads(flag, tmp_path, capsys, monkeypatch):
+    # the manifest would record the flag; nothing may be read, drawn or built first
+    for name in ("build_cycle", "build_complete", "build_hypercube", "random_regular",
+                 "random_unitary_tuple", "tuple_from_permutations", "as_rng", "_load_json"):
+        monkeypatch.setattr(cli, name, None)
+    value = [str(tmp_path / "missing.json")] if flag == "--perms" else []
+    kinds = ["cycle", "complete", "hypercube", "random-regular", "unitary-tuple",
+             "permutation-tuple"]
+    for kind in kinds:
+        if kind != GEN_FLAG_USERS[flag]:
+            assert run_cli(["gen", kind, flag, *value]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err and f"used only by {GEN_FLAG_USERS[flag]}" in err
+
+
+def test_gen_reads_an_empty_perms_path(capsys):
+    # an empty path is still a --perms: drawing instead would record a flag never read
+    assert run_cli(["gen", "permutation-tuple", "--perms", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot read" in err
+
+
 def test_gen_stdout_payload(capsys):
     assert main(["gen", "cycle", "--n", "4"]) == 0
     captured = capsys.readouterr()

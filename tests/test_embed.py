@@ -23,8 +23,9 @@ from spexp import (
 )
 from spexp import embed
 from spexp.embed import TARGET_LP, TARGET_SP
-from spexp.graphs import metric_ratio_parts
-from spexp.errors import DegenerateEmbedding, InvalidExponent, InvalidParameters, ShapeMismatch
+from spexp.graphs import RegularGraph, metric_ratio_parts
+from spexp.errors import DegenerateEmbedding, DisconnectedGraph, InvalidExponent
+from spexp.errors import InvalidParameters, ShapeMismatch
 
 
 def _random_lp_embedding(rng, n, m, p):
@@ -280,3 +281,49 @@ def test_directed_graphs_are_refused(name, monkeypatch):
     g = random_regular(10, 3, 2, symmetric=False, allow_loops=False)
     with pytest.raises(InvalidParameters, match="needs a symmetric graph"):
         _NEED_SYMMETRIC[name](g)
+
+
+def test_optimizer_config_counts_name_their_field():
+    with pytest.raises(InvalidParameters, match="^restarts must be a non-negative integer, got -1"):
+        OptimizerConfig(restarts=-1)
+    with pytest.raises(InvalidParameters, match="^max_iters must be an integer >= 1, got 0$"):
+        OptimizerConfig(max_iters=0)
+    assert OptimizerConfig(restarts=0).restarts == 0
+
+
+def _two_edges():
+    """The two-component graph of the CLI's disconnected-embed test."""
+    return RegularGraph(4, 1, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+_NEED_CONNECTED = {
+    "cut_oracle_l1": cut_oracle_l1,
+    "l2_expansion_oracle": l2_expansion_oracle,
+    "lp_expansion_estimate": lambda g: lp_expansion_estimate(g, 2.0, 2),
+    "sp_expansion_estimate": lambda g: sp_expansion_estimate(g, 2.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEED_CONNECTED))
+def test_disconnected_graphs_raise_one_error_class(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran on a disconnected graph")
+
+    monkeypatch.setattr(embed, "descend", refuse)
+    with pytest.raises(DisconnectedGraph, match="needs a connected graph"):
+        _NEED_CONNECTED[name](_two_edges())
+
+
+@pytest.mark.parametrize("estimate", [lp_expansion_estimate, sp_expansion_estimate])
+def test_estimators_read_m_as_an_integer(estimate):
+    g = build_cycle(5)
+    for m in (2.5, True, "2", None):
+        with pytest.raises(InvalidParameters, match="^m must be integers"):
+            estimate(g, 1.0, m, FAST)
+    with pytest.raises(InvalidParameters, match="target dimension m must be >= 1"):
+        estimate(g, 1.0, 0, FAST)
+    ref = estimate(g, 1.0, 2, FAST)
+    for m in (2.0, np.int64(2)):
+        est = estimate(g, 1.0, m, FAST)
+        assert est.value == ref.value
+        assert est.witness.images.tobytes() == ref.witness.images.tobytes()

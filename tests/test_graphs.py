@@ -318,3 +318,44 @@ def test_pipeline_consistency_graph_to_tuple():
         est_sp = minimize_coordinate(t, 2.0, mode="sp")
         assert abs(est_q.value - h) <= 1e-12
         assert abs(est_sp.value - h) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, args, i",
+    [
+        (build_cycle, (5,), 0),
+        (build_complete, (4,), 0),
+        (build_hypercube, (2,), 0),
+        (random_regular, (6, 3, 1), 0),
+        (random_regular, (6, 3, 1), 1),
+    ],
+)
+def test_builders_read_sizes_as_integers(build, args, i):
+    def with_size(x):
+        return build(*args[:i], x, *args[i + 1 :])
+
+    ref = build(*args).adjacency
+    for x in (float(args[i]), np.int64(args[i])):
+        assert np.array_equal(with_size(x).adjacency, ref)
+    for x in (args[i] + 0.5, True, str(args[i]), None):
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            with_size(x)
+
+
+def test_builders_keep_their_range_messages():
+    for build, arg, match in (
+        (build_cycle, -1, "cycle needs n >= 3, got -1"),
+        (build_complete, 1.0, "complete graph needs n >= 2, got 1"),
+        (build_hypercube, 0, "hypercube needs k >= 1, got 0"),
+    ):
+        with pytest.raises(InvalidParameters, match=f"^{match}$"):
+            build(arg)
+    with pytest.raises(InvalidParameters, match="^need n >= 1 and d >= 1, got n=4, d=-2$"):
+        random_regular(4.0, -2, 1)
+
+
+def test_regular_graph_refuses_negative_sizes():
+    # without the check a 0-vertex graph would take any d
+    for n, d in ((-1, 1), (0, -5)):
+        with pytest.raises(InvalidParameters, match="must be a non-negative integer"):
+            RegularGraph(n, d, np.zeros((0, 0), dtype=np.int64))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from spexp import haar_unitary, orthonormalize
-from spexp.errors import InvalidDimension, InvalidMatrix, RankDeficient
+from spexp import Subspace, haar_unitary, orthonormalize, random_unitary_tuple
+from spexp.errors import InvalidDimension, InvalidMatrix, InvalidParameters, RankDeficient
 from spexp import linalg
-from spexp.linalg import as_matrix, batches, haar_isometry
+from spexp.linalg import as_count, as_matrix, batches, haar_isometry, substream
 
 from util import random_complex
 
@@ -105,3 +105,74 @@ def test_batches_cover_every_item_once_in_order(monkeypatch, budget):
             assert [i for run in runs for i in run] == list(range(count))
             assert all(len(run) == 1 or len(run) * each <= budget for run in runs)
             assert all(len(run) == max(1, budget // each) for run in runs[:-1])
+
+
+@pytest.mark.parametrize(
+    "x, match",
+    [
+        (True, "must be integers, got bool"),
+        (2.5, "must be integers, got 2.5"),
+        (-1, "must be a non-negative integer, got -1"),
+        (2**63, "must be integers of 64 bits"),
+        (None, "must be integers, got NoneType"),
+        ("3", "must be integers, got str"),
+        ([3], "must be a non-negative integer, got \\[3\\]"),
+    ],
+)
+def test_as_count_refuses(x, match):
+    with pytest.raises(InvalidParameters, match=f"^count {match}"):
+        as_count(x, "count")
+
+
+def test_as_count_reads_integral_values_as_ints():
+    for x in (3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0), np.array(3)):
+        assert type(as_count(x, "count")) is int and as_count(x, "count") == 3
+    assert as_count(2**63 - 1, "count") == 2**63 - 1
+    assert as_count(0, "count") == 0
+
+
+def test_as_count_minimum_and_error_class():
+    assert as_count(1, "d", 1) == 1
+    for x in (0, np.int64(0), 0.0):
+        with pytest.raises(InvalidParameters, match=r"^d must be an integer >= 1, got"):
+            as_count(x, "d", 1)
+    # no minimum: any 64-bit integer, still no fraction or boolean
+    assert as_count(-(2**63), "n", None) == -(2**63)
+    assert as_count(-5.0, "n", None) == -5
+    for x in (-(2**63) - 1, 0.5, False):
+        with pytest.raises(InvalidParameters, match="^n must be integers"):
+            as_count(x, "n", None)
+    with pytest.raises(InvalidDimension, match="^n must be a non-negative integer"):
+        as_count(-1, "n", error=InvalidDimension)
+
+
+@pytest.mark.parametrize("seed, key", [(1.5, ()), (True, (3,)), (1, (0.5,)), (1, (False,)),
+                                       (-1, ()), (1, (-2,)), (2**63, ())])
+def test_substream_refuses_seeds_and_keys_a_cast_would_change(seed, key):
+    with pytest.raises(InvalidParameters):
+        substream(seed, *key)
+
+
+def test_substream_and_draws_read_integral_seeds_exactly():
+    ref = substream(4, 2).standard_normal(3)
+    for seed, key in ((4.0, 2), (np.int64(4), np.int32(2)), (4, 2.0)):
+        assert np.array_equal(substream(seed, key).standard_normal(3), ref)
+    # int() would read 1.5 and True as seed 1
+    for seed in (1.5, True, 2**63):
+        with pytest.raises(InvalidParameters, match="^seed must be"):
+            random_unitary_tuple(4, 2, seed)
+        with pytest.raises(InvalidParameters, match="^seed must be"):
+            haar_unitary(3, seed)
+
+
+@pytest.mark.parametrize("indices", [[0.5], [True], [1, 2.5], ["1"], [None]])
+def test_coordinate_subspace_refuses_non_integral_indices(indices):
+    # int() would read [0.5] and [True] as e_0 and e_1
+    with pytest.raises(InvalidDimension, match="^indices must be integers"):
+        Subspace.coordinate(4, indices)
+
+
+def test_coordinate_subspace_reads_integral_indices():
+    ref = Subspace.coordinate(4, [1, 3]).basis
+    for indices in ([1.0, 3], np.array([3, 1]), [np.int64(1), np.int32(3)], (3, 1)):
+        assert np.array_equal(Subspace.coordinate(4, indices).basis, ref)

@@ -274,3 +274,11 @@ def test_riemannian_determinism():
     b = minimize_riemannian(t, 2.0, cfg)
     assert a.value == b.value
     assert np.array_equal(a.witness.basis, b.witness.basis)
+
+
+@pytest.mark.parametrize("field", ["k", "samples", "restarts", "max_iters"])
+def test_search_config_counts_name_their_field(field):
+    with pytest.raises(InvalidParameters, match=f"^{field} must be an integer >= 1, got 0$"):
+        SearchConfig(**{field: 0})
+    with pytest.raises(InvalidParameters, match="^seed must be a non-negative integer, got -1$"):
+        SearchConfig(seed=-1)

@@ -80,6 +80,13 @@ def test_matrix_shape_must_be_nonnegative_integers():
     np.testing.assert_array_equal(m, [[1.0, 2.0 + 3.0j]])
 
 
+def test_matrix_shape_messages_name_the_field():
+    with pytest.raises(InvalidMatrix, match="^cols must be a non-negative integer, got -1$"):
+        matrix_from_json({"rows": 1, "cols": -1, "re": [], "im": []})
+    with pytest.raises(InvalidMatrix, match="^rows must be integers, got 0.5$"):
+        matrix_from_json({"rows": 0.5, "cols": 2, "re": [], "im": []})
+
+
 def test_entries_flags_and_exponents_must_be_json_types():
     # a float cast would read each of these as the number 1, 0 or 2
     for re in ([True, False], ["1", "0"], [None, 0.0], [[1.0], [0.0, 1.0]]):

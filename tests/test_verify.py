@@ -383,3 +383,31 @@ def test_tolerances_are_constants_not_parameters():
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
     for report in (ValidationReport, InequalityReport):
         assert "tol" not in {f.name for f in dataclasses.fields(report)}, report.__name__
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"p_range": ("1", "2")}, "p_range must be numbers, got str"),
+        ({"p_range": (None, 2.0)}, "p_range must be numbers, got NoneType"),
+        ({"p_range": (True, 2.0)}, "p_range must be numbers, got bool"),
+        ({"p_range": (1.0, 2.0, 3.0)}, "p_range must be a pair"),
+        ({"p_range": 2.0}, "p_range must be a pair"),
+        ({"n_range": (4, 8, 9)}, "n_range must be a pair"),
+        ({"n_range": 4}, "n_range must be a pair"),
+        ({"d_range": [[2, 3]]}, "d_range must be a pair"),
+        ({"instances": -5}, "instances must be a non-negative integer, got -5"),
+    ],
+)
+def test_sweep_config_refuses_what_is_not_a_pair_of_numbers(bad, match):
+    with pytest.raises(InvalidParameters, match=f"^{match}"):
+        SweepConfig(**bad)
+
+
+def test_sweep_config_reads_ranges_of_any_sequence():
+    plain = SweepConfig(instances=3, seed=2)
+    for p_range in ([1.0, 6.0], np.array([1.0, 6.0]), (1, 6)):
+        cfg = SweepConfig(instances=3, seed=2, n_range=[4, 16], d_range=np.array([2, 5]),
+                          p_range=p_range)
+        assert (cfg.n_range, cfg.d_range) == (plain.n_range, plain.d_range)
+        assert sweep(cfg)["checkers"] == sweep(plain)["checkers"]
